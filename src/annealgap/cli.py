@@ -65,10 +65,6 @@ SUMMARY_HEADER = (
 )
 
 
-class _NumericalFailure(Exception):
-    """Wrapper that maps engine failures to exit code 3."""
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -134,13 +130,10 @@ def cmd_analyze(args) -> int:
     driver = DRIVER_TOKENS[args.driver]
     sched = _schedule_for(ising, driver, args.lambda_path)
     k_max = min(5, (1 << ising.n) - 1)
-    try:
-        report, trace = anticrossing_report(
-            sched, grid_points=args.grid, s_tol=args.s_tol, levels=args.levels
-        )
-        overlaps = overlap_trace(sched, grid_points=args.grid, k_max=k_max)
-    except (EigensolverError, DegenerateLevelsError, FitWindowError) as exc:
-        raise _NumericalFailure(str(exc)) from exc
+    report, trace = anticrossing_report(
+        sched, grid_points=args.grid, s_tol=args.s_tol, levels=args.levels
+    )
+    overlaps = overlap_trace(sched, k_max=k_max, trace=trace)
 
     level_count = trace.levels.shape[1]
     gap_rows = (
@@ -214,7 +207,7 @@ def _sweep_cell(delta_b: float, method: str, grid: int, s_tol: float) -> dict:
         "s_star": located.s_star,
         "delta_min": located.delta_min,
         "t_approx": t_approx(located.delta_min),
-        "epsilon": epsilon(sched, grid_points=grid),
+        "epsilon": epsilon(sched, trace=trace),
         "interior": located.interior,
         "error": "",
     }
@@ -349,9 +342,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except (EigensolverError, DegenerateLevelsError, FitWindowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -14,15 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_SPIN_CAP,
-    ScheduleSpec,
-    _check_cap,
-    hamiltonian_at,
-    problem_diagonal,
-)
+from .operators import DEFAULT_SPIN_CAP, ScheduleSpec, _check_cap, problem_diagonal
 from .problems import IsingProblem, SpinAssignment
-from .spectral import DEGENERACY_TOL, DegenerateLevelsError, EigensolverError
+from .spectral import (
+    EigensolverError,
+    SpectralTrace,
+    _check_nondegenerate,
+    _reuse_or_scan,
+)
 
 #: Normalization of the tracked ground state must hold to this tolerance.
 NORMALIZATION_TOL = 1e-10
@@ -72,42 +71,38 @@ class OverlapTrace:
 
 
 def overlap_trace(
-    sched: ScheduleSpec, grid_points: int = 2001, k_max: int = 5
+    sched: ScheduleSpec,
+    grid_points: int = 2001,
+    k_max: int = 5,
+    trace: Optional[SpectralTrace] = None,
 ) -> OverlapTrace:
     """Track a_k(s) = |<E_k(1)|E_0(s)>|^2 for k = 0..k_max on a uniform grid.
 
     The full-basis sum of squared overlaps is recorded per point and checked
     against 1; a degenerate instantaneous ground state is reported as an error
-    with the offending s, since its overlaps are basis-dependent.
+    with the offending s, since its overlaps are basis-dependent. Pass a
+    ``trace`` scanned from an equal schedule to reuse its grid scan.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid must hold at least 2 points, got {grid_points}")
     dim = 1 << sched.n
     if not 0 <= k_max < dim:
         raise ValueError(f"k_max must lie in [0, {dim - 1}], got {k_max}")
     basis = final_basis(sched.problem, sched.max_spins)
-    tracked = basis.order[: k_max + 1]
-    grid = np.linspace(0.0, 1.0, grid_points)
-    weights = np.empty((grid_points, k_max + 1))
-    norms = np.empty(grid_points)
-    for idx, s in enumerate(grid):
-        try:
-            w, v = np.linalg.eigh(hamiltonian_at(sched, s).matrix)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigendecomposition failed at s={s}: {exc}") from exc
-        if w[1] - w[0] < DEGENERACY_TOL:
-            raise DegenerateLevelsError(
-                f"instantaneous ground state is degenerate at s={s}; "
-                "overlaps over a degenerate subspace are basis-dependent"
-            )
-        amplitudes_sq = v[:, 0] ** 2
-        weights[idx] = amplitudes_sq[tracked]
-        norms[idx] = amplitudes_sq.sum()
+    trace = _reuse_or_scan(sched, trace, grid_points)
+    _check_nondegenerate(
+        trace,
+        "instantaneous ground state is degenerate at s={s}; "
+        "overlaps over a degenerate subspace are basis-dependent",
+    )
+    amplitudes_sq = trace.ground_weights
+    norms = amplitudes_sq.sum(axis=1)
     if np.any(np.abs(norms - 1.0) > NORMALIZATION_TOL):
         worst = float(np.abs(norms - 1.0).max())
         raise EigensolverError(
             f"ground-state normalization off by {worst:.3e} (> {NORMALIZATION_TOL})"
         )
     return OverlapTrace(
-        grid=grid, weights=weights, labels=basis.energies[: k_max + 1], norm=norms
+        grid=trace.grid,
+        weights=amplitudes_sq[:, basis.order[: k_max + 1]],
+        labels=basis.energies[: k_max + 1],
+        norm=norms,
     )

@@ -16,6 +16,7 @@ bit i equal to 0 for sigma_i = +1 (q_i = 1) and 1 for sigma_i = -1 (q_i = 0).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -51,16 +52,25 @@ def _normalize_quadratic(
             i, j = j, i
         if (i, j) in out:
             raise ProblemFormatError(f"duplicate {what} entry for pair ({i},{j})")
+        value = _finite(value, f"{what} ({i},{j})")
         if value != 0.0:
-            out[(i, j)] = float(value)
+            out[(i, j)] = value
     return out
 
 
 def _check_linear(n: int, values: Iterable[float], what: str) -> tuple[float, ...]:
-    vec = tuple(float(v) for v in values)
+    vec = tuple(_finite(v, f"{what}[{i}]") for i, v in enumerate(values))
     if len(vec) != n:
         raise ProblemFormatError(f"{what} must have length n={n}, got {len(vec)}")
     return vec
+
+
+def _finite(value: float, what: str) -> float:
+    """``value`` as a float; NaN and infinities are rejected, naming the field."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ProblemFormatError(f"{what} must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class IsingProblem:
             raise ProblemFormatError(f"spin count must be >= 1, got {self.n}")
         object.__setattr__(self, "J", _normalize_quadratic(self.n, self.J, "coupling"))
         object.__setattr__(self, "h", _check_linear(self.n, self.h or (0.0,) * self.n, "h"))
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _finite(self.offset, "offset"))
 
     def energy(self, assignment: "SpinAssignment") -> float:
         """Total energy of one assignment (auto-converts q-form input)."""
@@ -124,7 +134,7 @@ class QuboProblem:
             raise ProblemFormatError(f"variable count must be >= 1, got {self.n}")
         object.__setattr__(self, "Q", _normalize_quadratic(self.n, self.Q, "quadratic"))
         object.__setattr__(self, "b", _check_linear(self.n, self.b or (0.0,) * self.n, "b"))
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _finite(self.offset, "offset"))
 
     def energy(self, assignment: "SpinAssignment") -> float:
         """Total energy of one assignment (auto-converts sigma-form input)."""

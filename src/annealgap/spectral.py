@@ -1,9 +1,12 @@
 """Instantaneous-spectrum analysis along an annealing schedule.
 
-Provides the full eigendecomposition contract, gap traces on a uniform grid,
-minimum-gap localization with golden-section refinement, anti-crossing
-detection, the adiabatic-bound numerator, the reciprocal-square time
-estimate, and the two-level hyperbola fit near an anti-crossing.
+One grid scan, ``gap_trace``, diagonalizes H(s) once per point and records the
+lowest levels, the E1-E0 gap, the transition element |<E1| dH/ds |E0>| and the
+squared ground-state amplitudes. ``min_gap``, ``detect_anticrossing``,
+``epsilon`` and ``overlap_trace`` read that trace and scan only when not given
+one; a golden-section search refines gap minima below the grid step. Also
+here: the eigendecomposition contract, the reciprocal-square time estimate and
+the two-level hyperbola fit near an anti-crossing.
 
 An interior dip in the gap only counts as an anti-crossing when it is
 significant: its floor must undercut the smaller endpoint gap of the trace
@@ -19,17 +22,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .operators import (
-    STOQUASTIC,
-    DenseOperator,
-    ScheduleSpec,
-    derivative_at,
-    hamiltonian_at,
-)
+from .operators import DenseOperator, ScheduleSpec, derivative_at, hamiltonian_at
 
 #: Two ascending levels closer than this are treated as degenerate.
 DEGENERACY_TOL = 1e-12
@@ -65,26 +62,20 @@ def full_spectrum(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
         raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _eigenvalues_at(sched: ScheduleSpec, s: float) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(hamiltonian_at(sched, s).matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed at s={s}: {exc}") from exc
-
-
-def _gap_at(sched: ScheduleSpec, s: float) -> float:
-    w = _eigenvalues_at(sched, s)
-    return float(w[1] - w[0])
-
-
 @dataclass(frozen=True)
 class SpectralTrace:
-    """Lowest levels and the E1-E0 gap on an ascending grid of s values."""
+    """Lowest levels and the E1-E0 gap on an ascending grid of s values.
+
+    A scanned trace also holds, per point, |<E1| dH/ds |E0>| (``element``) and
+    the squared ground-state amplitudes (``ground_weights``, 2^n per row).
+    """
 
     grid: np.ndarray
     levels: np.ndarray
     gap: np.ndarray
     schedule: Optional[ScheduleSpec] = None
+    element: Optional[np.ndarray] = None
+    ground_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -144,6 +135,23 @@ class AntiCrossingReport:
     hyperbola: Optional[HyperbolaFit] = None
 
 
+def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
+    """One eigendecomposition of H(s) per grid point, keeping ``keep`` levels."""
+    table = np.empty((len(grid), keep))
+    element = np.empty(len(grid))
+    weights = np.empty((len(grid), 1 << sched.n))
+    for idx, s in enumerate(grid):
+        w, v = full_spectrum(hamiltonian_at(sched, s))
+        table[idx] = w[:keep]
+        weights[idx] = v[:, 0] ** 2
+        element[idx] = abs(v[:, 1] @ derivative_at(sched, s).matrix @ v[:, 0])
+        # No 2^n x 2^n matrix may outlive the point: at n = 10, keeping the
+        # eigenvectors or a cached dH/ds alive raises the peak RSS by 8%.
+        del w, v
+    gap = table[:, 1] - table[:, 0]
+    return SpectralTrace(grid, table, gap, sched, element, weights)
+
+
 def gap_trace(
     sched: ScheduleSpec, grid_points: int = 2001, levels: int = 6
 ) -> SpectralTrace:
@@ -151,27 +159,48 @@ def gap_trace(
     if grid_points < 2:
         raise ValueError(f"grid must hold at least 2 points, got {grid_points}")
     keep = max(2, min(levels, 1 << sched.n))
-    grid = np.linspace(0.0, 1.0, grid_points)
-    table = np.empty((grid_points, keep))
-    for idx, s in enumerate(grid):
-        table[idx] = _eigenvalues_at(sched, s)[:keep]
-    return SpectralTrace(
-        grid=grid, levels=table, gap=table[:, 1] - table[:, 0], schedule=sched
-    )
+    return _scan(sched, np.linspace(0.0, 1.0, grid_points), keep)
 
 
-def _golden_min(
-    fn: Callable[[float], float], lo: float, hi: float, s_tol: float
+def _reuse_or_scan(
+    sched: ScheduleSpec, trace: Optional[SpectralTrace], grid_points: int, levels: int = 6
+) -> SpectralTrace:
+    """``trace`` if it was scanned from a schedule equal to ``sched``, else a new scan."""
+    if trace is not None and trace.schedule == sched and trace.element is not None:
+        return trace
+    return gap_trace(sched, grid_points, levels)
+
+
+def _check_nondegenerate(trace: SpectralTrace, message: str) -> None:
+    """Raise DegenerateLevelsError at the first grid point where E0 and E1 coincide."""
+    hits = np.flatnonzero(trace.gap < DEGENERACY_TOL)
+    if hits.size:
+        raise DegenerateLevelsError(message.format(s=trace.grid[hits[0]]))
+
+
+def _refine(
+    sched: Optional[ScheduleSpec], grid: np.ndarray, gaps: np.ndarray, k: int, s_tol: float
 ) -> tuple[float, float]:
-    """Golden-section minimum of fn on [lo, hi]; returns the best point evaluated."""
-    best_s, best_f = lo, math.inf
+    """Golden-section minimum of the gap between the grid neighbours of index k.
+
+    Returns the best point evaluated, or grid point k itself when no
+    evaluation undercuts its gap or there is no schedule to evaluate.
+    """
+    best_s, best_g = float(grid[k]), float(gaps[k])
+    if sched is None:
+        return best_s, best_g
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
 
     def ev(x: float) -> float:
-        nonlocal best_s, best_f
-        f = fn(x)
-        if f < best_f:
-            best_s, best_f = x, f
-        return f
+        nonlocal best_s, best_g
+        try:
+            w = np.linalg.eigvalsh(hamiltonian_at(sched, x).matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigendecomposition failed at s={x}: {exc}") from exc
+        g = float(w[1] - w[0])
+        if g < best_g:
+            best_s, best_g = float(x), g
+        return g
 
     c = hi - _INV_GOLD * (hi - lo)
     d = lo + _INV_GOLD * (hi - lo)
@@ -185,15 +214,7 @@ def _golden_min(
             lo, c, fc = c, d, fd
             d = lo + _INV_GOLD * (hi - lo)
             fd = ev(d)
-    return best_s, best_f
-
-
-def _strict_interior_minima(gaps: np.ndarray) -> list[int]:
-    return [
-        k
-        for k in range(1, len(gaps) - 1)
-        if gaps[k - 1] > gaps[k] < gaps[k + 1]
-    ]
+    return best_s, best_g
 
 
 def min_gap(
@@ -210,27 +231,17 @@ def min_gap(
     exceeds any scanned gap. ``interior`` is True only when the minimum sits
     away from the schedule ends and undercuts the endpoint gap by more than
     ``undercut`` (a significant anti-crossing); shallow end-of-schedule
-    minima are reported with interior=False. Pass a ``trace`` produced from
-    the same schedule to reuse its grid scan.
+    minima are reported with interior=False. Pass a ``trace`` scanned from an
+    equal schedule to reuse its grid scan.
     """
     if s_tol <= 0:
         raise ValueError(f"s_tol must be positive, got {s_tol}")
-    if trace is not None and trace.schedule is sched:
-        grid, gaps = trace.grid, trace.gap
-    else:
-        if grid_points < 2:
-            raise ValueError(f"grid must hold at least 2 points, got {grid_points}")
-        grid = np.linspace(0.0, 1.0, grid_points)
-        gaps = np.array([_gap_at(sched, s) for s in grid])
-    i = int(np.argmin(gaps))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    s_star, delta = _golden_min(lambda s: _gap_at(sched, s), lo, hi, s_tol)
-    if gaps[i] <= delta:
-        s_star, delta = float(grid[i]), float(gaps[i])
+    trace = _reuse_or_scan(sched, trace, grid_points)
+    gaps = trace.gap
+    s_star, delta = _refine(sched, trace.grid, gaps, int(np.argmin(gaps)), s_tol)
     significant = delta < (1.0 - undercut) * min(gaps[0], gaps[-1])
     interior = significant and s_tol < s_star < 1.0 - s_tol
-    return MinGapResult(float(s_star), float(delta), bool(interior))
+    return MinGapResult(s_star, delta, bool(interior))
 
 
 def detect_anticrossing(
@@ -246,24 +257,16 @@ def detect_anticrossing(
     dips by less than the margin. Refinement re-evaluates the schedule when
     the trace carries one, and falls back to grid values otherwise.
     """
-    gaps, grid = trace.gap, trace.grid
+    gaps = trace.gap
     threshold = (1.0 - undercut) * min(gaps[0], gaps[-1])
-    found = []
-    for k in _strict_interior_minima(gaps):
-        if trace.schedule is not None:
-            s, g = _golden_min(
-                lambda s: _gap_at(trace.schedule, s), grid[k - 1], grid[k + 1], s_tol
-            )
-            if gaps[k] <= g:
-                s, g = grid[k], gaps[k]
-        else:
-            s, g = grid[k], gaps[k]
-        if g < threshold:
-            found.append(AntiCrossing(float(s), float(g)))
-    return found
+    minima = [k for k in range(1, len(gaps) - 1) if gaps[k - 1] > gaps[k] < gaps[k + 1]]
+    refined = [_refine(trace.schedule, trace.grid, gaps, k, s_tol) for k in minima]
+    return [AntiCrossing(s, g) for s, g in refined if g < threshold]
 
 
-def epsilon(sched: ScheduleSpec, grid_points: int = 2001) -> float:
+def epsilon(
+    sched: ScheduleSpec, grid_points: int = 2001, trace: Optional[SpectralTrace] = None
+) -> float:
     """Largest transition element max_s |<E1(s)| dH/ds |E0(s)>| over the grid.
 
     The element is taken as it stands, not divided by the gap: it is the
@@ -273,32 +276,18 @@ def epsilon(sched: ScheduleSpec, grid_points: int = 2001) -> float:
 
     The grid around the arg-max is refined once at ten times the resolution.
     Raises DegenerateLevelsError when E0 and E1 coincide at an evaluation
-    point, where the matrix element is not basis-independent.
+    point, where the matrix element is not basis-independent. Pass a
+    ``trace`` scanned from an equal schedule to reuse its grid scan.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid must hold at least 2 points, got {grid_points}")
-    constant_dh = None
-    if sched.driver == STOQUASTIC:
-        constant_dh = derivative_at(sched, 0.0).matrix
-
-    def element(s: float) -> float:
-        w, v = full_spectrum(hamiltonian_at(sched, s))
-        if w[1] - w[0] < DEGENERACY_TOL:
-            raise DegenerateLevelsError(
-                f"E0 and E1 are degenerate at s={s}; transition element undefined"
-            )
-        dh = constant_dh if constant_dh is not None else derivative_at(sched, s).matrix
-        return float(abs(v[:, 1] @ dh @ v[:, 0]))
-
-    grid = np.linspace(0.0, 1.0, grid_points)
-    values = np.array([element(s) for s in grid])
-    i = int(np.argmax(values))
-    best = float(values[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-    for s in np.linspace(lo, hi, 21):
-        best = max(best, element(float(s)))
-    return best
+    degenerate = "E0 and E1 are degenerate at s={s}; transition element undefined"
+    trace = _reuse_or_scan(sched, trace, grid_points)
+    _check_nondegenerate(trace, degenerate)
+    grid = trace.grid
+    i = int(np.argmax(trace.element))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    fine = _scan(sched, np.linspace(lo, hi, 21), 2)
+    _check_nondegenerate(fine, degenerate)
+    return float(max(trace.element[i], fine.element.max()))
 
 
 def t_approx(delta_min: float) -> float:
@@ -375,11 +364,13 @@ def anticrossing_report(
     undercut: float = DEFAULT_UNDERCUT,
     trace: Optional[SpectralTrace] = None,
 ) -> tuple[AntiCrossingReport, SpectralTrace]:
-    """Minimum gap, adiabatic numerator, time estimate, and hyperbola in one pass."""
-    if trace is None or trace.schedule is not sched:
-        trace = gap_trace(sched, grid_points, levels)
+    """Minimum gap, adiabatic numerator, time estimate, and hyperbola in one pass.
+
+    Pass a ``trace`` scanned from an equal schedule to reuse its grid scan.
+    """
+    trace = _reuse_or_scan(sched, trace, grid_points, levels)
     located = min_gap(sched, s_tol=s_tol, undercut=undercut, trace=trace)
-    eps = epsilon(sched, grid_points=grid_points)
+    eps = epsilon(sched, trace=trace)
     hyperbola = None
     if located.interior:
         hyperbola = fit_hyperbola(trace, located.s_star, located.delta_min, window)

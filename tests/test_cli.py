@@ -149,6 +149,19 @@ class TestAnalyze:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        doc = {"form": "qubo", "n": 2, "quadratic": [[0, 1, 1.0]],
+               "linear": [float("nan"), -1.0], "offset": 0.0}
+        bad.write_text(json.dumps(doc))
+        rc = main(["analyze", "--problem", str(bad), "--grid", "11",
+                   "--out", str(tmp_path / "nan_")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "b[0] must be finite, got nan" in err
+        assert "symmetric" not in err
+        assert not (tmp_path / "nan_report.json").exists()
+
 
 class TestSweep:
     def test_small_sweep(self, tmp_path):

@@ -65,6 +65,34 @@ class TestProblemConstruction:
         with pytest.raises(AttributeError):
             p.offset = 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            pytest.param(
+                lambda x: IsingProblem(n=2, J={(0, 1): x}, h=(0, 0)),
+                r"coupling \(0,1\)",
+                id="ising-J",
+            ),
+            pytest.param(lambda x: IsingProblem(n=2, J={}, h=(0, x)), r"h\[1\]", id="ising-h"),
+            pytest.param(
+                lambda x: IsingProblem(n=2, J={}, h=(0, 0), offset=x), "offset", id="ising-offset"
+            ),
+            pytest.param(
+                lambda x: QuboProblem(n=2, Q={(1, 0): x}, b=(0, 0)),
+                r"quadratic \(0,1\)",
+                id="qubo-Q",
+            ),
+            pytest.param(lambda x: QuboProblem(n=2, Q={}, b=(x, 0)), r"b\[0\]", id="qubo-b"),
+            pytest.param(
+                lambda x: QuboProblem(n=2, Q={}, b=(0, 0), offset=x), "offset", id="qubo-offset"
+            ),
+        ],
+    )
+    def test_non_finite_coefficient_rejected(self, build, field, bad):
+        with pytest.raises(ProblemFormatError, match=field + " must be finite"):
+            build(bad)
+
 
 class TestSpinAssignment:
     def test_q_to_sigma(self):

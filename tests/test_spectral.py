@@ -22,10 +22,13 @@ from annealgap import (
     hamiltonian_at,
     min_gap,
     mis_chain,
+    overlap_trace,
     qubo_to_ising,
     t_approx,
     transform,
 )
+from annealgap.cli import _sweep_cell
+from annealgap.spectral import _INV_GOLD
 
 SQRT2 = math.sqrt(2.0)
 
@@ -325,3 +328,63 @@ class TestAntiCrossingReport:
         assert not report.interior
         assert report.hyperbola is None
         assert report.t_approx == pytest.approx(report.delta_min**-2, rel=1e-12)
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Calls to numpy's dense symmetric eigensolvers while the test runs."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def golden_evaluations(width: float, s_tol: float) -> int:
+    """Gap evaluations of a golden-section search narrowing ``width`` to ``s_tol``."""
+    steps = 0
+    while width > s_tol:
+        width *= _INV_GOLD
+        steps += 1
+    return 2 + steps
+
+
+class TestSingleScan:
+    GRID = 101
+    S_TOL = 1e-6
+
+    def test_trace_reused_for_equal_distinct_schedule(self, solve_counts):
+        trace = gap_trace(chain_schedule(0.04), self.GRID)
+        twin = chain_schedule(0.04)
+        assert twin == trace.schedule and twin is not trace.schedule
+        solve_counts["eigh"] = 0
+        reused = min_gap(twin, trace=trace)
+        overlap_trace(twin, trace=trace)
+        assert solve_counts["eigh"] == 0
+        epsilon(twin, trace=trace)
+        assert solve_counts["eigh"] == 21  # only the rescan around the arg-max
+        assert reused == min_gap(twin, grid_points=self.GRID)
+
+    def test_trace_of_other_schedule_not_reused(self, solve_counts):
+        trace = gap_trace(chain_schedule(0.04), self.GRID)
+        solve_counts["eigh"] = 0
+        min_gap(chain_schedule(0.08), grid_points=self.GRID, trace=trace)
+        assert solve_counts["eigh"] == self.GRID
+
+    @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
+    def test_analyze_solve_counts(self, solve_counts):
+        sched = chain_schedule(0.04)
+        _, trace = anticrossing_report(sched, grid_points=self.GRID, s_tol=self.S_TOL)
+        overlap_trace(sched, k_max=5, trace=trace)
+        refine = golden_evaluations(2.0 / (self.GRID - 1), self.S_TOL)
+        assert solve_counts == {"eigh": self.GRID + 21, "eigvalsh": refine}
+
+    def test_sweep_cell_solve_counts(self, solve_counts):
+        _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
+        refine = golden_evaluations(2.0 / (self.GRID - 1), self.S_TOL)
+        assert solve_counts == {"eigh": self.GRID + 21, "eigvalsh": refine}
