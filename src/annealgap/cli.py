@@ -178,7 +178,7 @@ def cmd_analyze(args) -> int:
         "normalizer": ising.n if driver == NONSTOQUASTIC else None,
         "grid": args.grid,
         "s_tol": args.s_tol,
-        "levels": args.levels,
+        "levels": level_count,
     }
     with open(f"{args.out}report.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

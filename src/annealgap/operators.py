@@ -3,8 +3,9 @@
 Operators are built by iterating computational basis indices with bit
 operations rather than by Kronecker products, and are exactly symmetric by
 construction. Basis convention: bit i of index m is 0 for sigma_i = +1.
-Dense storage is capped (default 14 spins, 16384 x 16384) and larger systems
-are rejected outright.
+A ``ScheduleSpec`` caches H_P as its diagonal vector next to the dense
+driver arrays; ``schedule_matrix`` assembles H(s) and dH/ds from them. Dense
+storage is capped at 14 spins (16384 x 16384), checked before allocating.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ STOQUASTIC = "stoquastic"
 NONSTOQUASTIC = "nonstoquastic"
 
 
-def _check_cap(n: int, max_spins: int) -> None:
-    if n > max_spins:
-        raise ValueError(
-            f"dense operators support at most {max_spins} spins, got n={n}"
-        )
+def _check_cap(n: int) -> None:
+    if n > DEFAULT_SPIN_CAP:
+        raise ValueError(f"dense operators support at most {DEFAULT_SPIN_CAP} spins, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,7 @@ def problem_diagonal(p: IsingProblem) -> np.ndarray:
     Terms accumulate in the same order as IsingProblem.energy so the two
     agree bit for bit.
     """
+    _check_cap(p.n)
     sigma = _sigma_table(p.n)
     diag = np.full(1 << p.n, p.offset)
     for (i, j), value in p.J.items():
@@ -75,15 +75,14 @@ def problem_diagonal(p: IsingProblem) -> np.ndarray:
     return diag
 
 
-def problem_operator(p: IsingProblem, max_spins: int = DEFAULT_SPIN_CAP) -> DenseOperator:
+def problem_operator(p: IsingProblem) -> DenseOperator:
     """Diagonal operator whose entry at basis index m is the energy of assignment m."""
-    _check_cap(p.n, max_spins)
     return DenseOperator(p.n, np.diag(problem_diagonal(p)))
 
 
-def transverse_driver(n: int, max_spins: int = DEFAULT_SPIN_CAP) -> DenseOperator:
+def transverse_driver(n: int) -> DenseOperator:
     """Sum of single-spin-flip operators: 1 at every Hamming-distance-1 pair."""
-    _check_cap(n, max_spins)
+    _check_cap(n)
     dim = 1 << n
     m = np.zeros((dim, dim))
     rows = np.arange(dim)
@@ -92,15 +91,13 @@ def transverse_driver(n: int, max_spins: int = DEFAULT_SPIN_CAP) -> DenseOperato
     return DenseOperator(n, m)
 
 
-def antiferromagnetic_driver(
-    n: int, normalizer: Optional[float] = None, max_spins: int = DEFAULT_SPIN_CAP
-) -> DenseOperator:
+def antiferromagnetic_driver(n: int, normalizer: Optional[float] = None) -> DenseOperator:
     """Squared mean transverse field with positive sign: (1/N) (sum_i X_i)^2.
 
     Expands to (n/N) I plus 2/N at every Hamming-distance-2 pair, which is the
     two-spin-flip fluctuation term. N defaults to the spin count.
     """
-    _check_cap(n, max_spins)
+    _check_cap(n)
     norm = float(n if normalizer is None else normalizer)
     if norm <= 0:
         raise ValueError(f"normalizer must be positive, got {norm}")
@@ -146,12 +143,11 @@ class ScheduleSpec:
     driver: str = STOQUASTIC
     lambda_path: LambdaPath = LINEAR_PATH
     normalizer: Optional[float] = None
-    max_spins: int = DEFAULT_SPIN_CAP
 
     def __post_init__(self):
         if self.driver not in (STOQUASTIC, NONSTOQUASTIC):
             raise ValueError(f"unknown driver {self.driver!r}")
-        _check_cap(self.problem.n, self.max_spins)
+        _check_cap(self.problem.n)
         if self.driver == NONSTOQUASTIC:
             end = self.lambda_path.value(1.0)
             if abs(end - 1.0) > 1e-12:
@@ -165,16 +161,18 @@ class ScheduleSpec:
         return self.problem.n
 
     @cached_property
-    def problem_op(self) -> DenseOperator:
-        return problem_operator(self.problem, self.max_spins)
+    def problem_diagonal(self) -> np.ndarray:
+        diag = problem_diagonal(self.problem)
+        diag.flags.writeable = False
+        return diag
 
     @cached_property
-    def transverse_op(self) -> DenseOperator:
-        return transverse_driver(self.problem.n, self.max_spins)
+    def transverse_matrix(self) -> np.ndarray:
+        return transverse_driver(self.n).matrix
 
     @cached_property
-    def aff_op(self) -> DenseOperator:
-        return antiferromagnetic_driver(self.problem.n, self.normalizer, self.max_spins)
+    def aff_matrix(self) -> np.ndarray:
+        return antiferromagnetic_driver(self.n, self.normalizer).matrix
 
     def _lambda_derivative(self, s: float) -> float:
         if self.lambda_path.derivative is not None:
@@ -189,32 +187,32 @@ class ScheduleSpec:
         return (value(s + _FD_STEP) - value(s - _FD_STEP)) / (2.0 * _FD_STEP)
 
 
-def hamiltonian_at(sched: ScheduleSpec, s: float) -> DenseOperator:
-    """Schedule Hamiltonian H(s)."""
+def schedule_matrix(sched: ScheduleSpec, s: float, derivative: bool = False) -> np.ndarray:
+    """H(s), or its exact dH/ds (product rule through lambda(s)), as a new array.
+
+    Only the drivers are dense; the H_P term goes onto the diagonal. Entries equal
+    the dense form's: keep 1 - lam - s*lam'; 1 - (lam + s*lam') rounds differently.
+    """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"schedule parameter s={s} outside [0, 1]")
-    hp = sched.problem_op.matrix
-    hb = sched.transverse_op.matrix
+    outer, driver = (1.0, -1.0) if derivative else (s, 1.0 - s)
+    m = driver * sched.transverse_matrix
     if sched.driver == STOQUASTIC:
-        m = (1.0 - s) * hb + s * hp
-    else:
-        lam = sched.lambda_path.value(s)
-        m = s * (lam * hp + (1.0 - lam) * sched.aff_op.matrix) + (1.0 - s) * hb
-    return DenseOperator(sched.n, m)
+        m.reshape(-1)[:: m.shape[0] + 1] += outer * sched.problem_diagonal
+        return m
+    lam = sched.lambda_path.value(s)
+    s_dlam = s * sched._lambda_derivative(s) if derivative else 0.0
+    inner = (1.0 - lam - s_dlam) * sched.aff_matrix
+    inner.reshape(-1)[:: m.shape[0] + 1] += (lam + s_dlam) * sched.problem_diagonal
+    m += outer * inner
+    return m
+
+
+def hamiltonian_at(sched: ScheduleSpec, s: float) -> DenseOperator:
+    """Schedule Hamiltonian H(s)."""
+    return DenseOperator(sched.n, schedule_matrix(sched, s))
 
 
 def derivative_at(sched: ScheduleSpec, s: float) -> DenseOperator:
     """Exact dH/ds of the schedule (product rule through lambda(s))."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"schedule parameter s={s} outside [0, 1]")
-    hp = sched.problem_op.matrix
-    hb = sched.transverse_op.matrix
-    if sched.driver == STOQUASTIC:
-        m = hp - hb
-    else:
-        lam = sched.lambda_path.value(s)
-        dlam = sched._lambda_derivative(s)
-        coeff_p = lam + s * dlam
-        coeff_a = 1.0 - lam - s * dlam
-        m = coeff_p * hp + coeff_a * sched.aff_op.matrix - hb
-    return DenseOperator(sched.n, m)
+    return DenseOperator(sched.n, schedule_matrix(sched, s, derivative=True))

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import DEFAULT_SPIN_CAP, ScheduleSpec, _check_cap, problem_diagonal
+from .operators import ScheduleSpec, problem_diagonal
 from .problems import IsingProblem, SpinAssignment
 from .spectral import (
     EigensolverError,
@@ -47,9 +47,8 @@ class FinalBasis:
         return SpinAssignment.from_basis_index(int(self.order[k]), self.n)
 
 
-def final_basis(p: IsingProblem, max_spins: int = DEFAULT_SPIN_CAP) -> FinalBasis:
+def final_basis(p: IsingProblem) -> FinalBasis:
     """Order all 2^n basis states by problem energy ascending, then by index."""
-    _check_cap(p.n, max_spins)
     diag = problem_diagonal(p)
     order = np.argsort(diag, kind="stable")
     return FinalBasis(order=order, energies=diag[order])
@@ -86,7 +85,7 @@ def overlap_trace(
     dim = 1 << sched.n
     if not 0 <= k_max < dim:
         raise ValueError(f"k_max must lie in [0, {dim - 1}], got {k_max}")
-    basis = final_basis(sched.problem, sched.max_spins)
+    basis = final_basis(sched.problem)
     trace = _reuse_or_scan(sched, trace, grid_points)
     _check_nondegenerate(
         trace,

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .operators import DenseOperator, ScheduleSpec, derivative_at, hamiltonian_at
+from .operators import DenseOperator, ScheduleSpec, schedule_matrix
 
 #: Two ascending levels closer than this are treated as degenerate.
 DEGENERACY_TOL = 1e-12
@@ -50,16 +50,22 @@ class FitWindowError(ValueError):
     """Too few trace points around the requested center for a fit."""
 
 
+def _solve(matrix: np.ndarray, s: Optional[float] = None, vectors: bool = True):
+    """``eigh`` or ``eigvalsh``; a LAPACK failure raises EigensolverError naming s."""
+    try:
+        return np.linalg.eigh(matrix) if vectors else np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        where = "" if s is None else f" at s={s}"
+        raise EigensolverError(f"eigendecomposition failed{where}: {exc}") from exc
+
+
 def full_spectrum(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors (as columns).
 
     Contract: ||M - V diag(w) V^T||_max <= 1e-9 ||M||_max and
     ||V^T V - I||_max <= 1e-10.
     """
-    try:
-        return np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+    return _solve(op.matrix)
 
 
 @dataclass(frozen=True)
@@ -141,10 +147,10 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
     element = np.empty(len(grid))
     weights = np.empty((len(grid), 1 << sched.n))
     for idx, s in enumerate(grid):
-        w, v = full_spectrum(hamiltonian_at(sched, s))
+        w, v = _solve(schedule_matrix(sched, s), s)
         table[idx] = w[:keep]
         weights[idx] = v[:, 0] ** 2
-        element[idx] = abs(v[:, 1] @ derivative_at(sched, s).matrix @ v[:, 0])
+        element[idx] = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
         # No 2^n x 2^n matrix may outlive the point: at n = 10, keeping the
         # eigenvectors or a cached dH/ds alive raises the peak RSS by 8%.
         del w, v
@@ -193,10 +199,7 @@ def _refine(
 
     def ev(x: float) -> float:
         nonlocal best_s, best_g
-        try:
-            w = np.linalg.eigvalsh(hamiltonian_at(sched, x).matrix)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigendecomposition failed at s={x}: {exc}") from exc
+        w = _solve(schedule_matrix(sched, x), x, vectors=False)
         g = float(w[1] - w[0])
         if g < best_g:
             best_s, best_g = float(x), g

@@ -131,6 +131,17 @@ class TestAnalyze:
         assert report["hyperbola"] is None
         assert report["k"] == 0
 
+    @pytest.mark.parametrize("levels, columns", [(0, 2), (1, 2), (100, 32)])
+    def test_report_levels_match_gaps_columns(self, tmp_path, chain_file, levels, columns):
+        prefix = str(tmp_path / "lv_")
+        rc = main(["analyze", "--problem", str(chain_file), "--k", "0", "--grid", "201",
+                   "--levels", str(levels), "--out", prefix])
+        assert rc == 0
+        header = (tmp_path / "lv_gaps.csv").read_text().splitlines()[0].split(",")
+        assert header == ["s"] + [f"E{k}" for k in range(columns)] + ["gap"]
+        report = json.loads((tmp_path / "lv_report.json").read_text())
+        assert report["levels"] == columns
+
     def test_nonstoquastic_provenance(self, tmp_path, chain_file):
         prefix = str(tmp_path / "ns_")
         rc = main(["analyze", "--problem", str(chain_file), "--driver", "nonstoq",

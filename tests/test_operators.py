@@ -4,10 +4,12 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annealgap import (
     DenseOperator,
     IsingProblem,
+    LINEAR_PATH,
     LambdaPath,
     MisChainSpec,
     NONSTOQUASTIC,
@@ -29,6 +31,31 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 def two_level() -> ScheduleSpec:
     return ScheduleSpec(problem=IsingProblem(n=1, J={}, h=(1.0,)))
+
+
+@st.composite
+def ising_problems(draw, max_n: int = 6) -> IsingProblem:
+    n = draw(st.integers(1, max_n))
+    coefficient = st.floats(-3.0, 3.0)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    couplings = draw(st.dictionaries(st.sampled_from(pairs), coefficient)) if pairs else {}
+    fields = tuple(draw(st.lists(coefficient, min_size=n, max_size=n)))
+    return IsingProblem(n=n, J=couplings, h=fields, offset=draw(coefficient))
+
+
+def dense_reference(sched: ScheduleSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """H(s) and dH/ds as whole-matrix expressions over the three dense operators."""
+    hp = problem_operator(sched.problem).matrix
+    hb = transverse_driver(sched.n).matrix
+    if sched.driver == STOQUASTIC:
+        return (1.0 - s) * hb + s * hp, hp - hb
+    aff = antiferromagnetic_driver(sched.n, sched.normalizer).matrix
+    lam = sched.lambda_path.value(s)
+    dlam = sched.lambda_path.derivative(s)
+    coeff_p = lam + s * dlam
+    coeff_a = 1.0 - lam - s * dlam
+    hamiltonian = s * (lam * hp + (1.0 - lam) * aff) + (1.0 - s) * hb
+    return hamiltonian, coeff_p * hp + coeff_a * aff - hb
 
 
 class TestDenseOperator:
@@ -77,9 +104,9 @@ class TestProblemOperator:
             assert diag[m] == p.energy(SpinAssignment.from_basis_index(m, 4))
 
     def test_cap_enforced(self):
-        p = IsingProblem(n=4, J={}, h=(0, 0, 0, 0))
-        with pytest.raises(ValueError, match="at most 3"):
-            problem_operator(p, max_spins=3)
+        p = IsingProblem(n=15, J={}, h=(0,) * 15)
+        with pytest.raises(ValueError, match="at most 14"):
+            problem_operator(p)
 
 
 class TestTransverseDriver:
@@ -205,6 +232,26 @@ class TestDerivativeAt:
         assert np.allclose(got, derivative_at(exact, 0.3).matrix, atol=1e-6)
 
 
+class TestDenseReferenceProperty:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        problem=ising_problems(),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        path=st.sampled_from(
+            [LINEAR_PATH, LambdaPath("quadratic", lambda s: s * s, lambda s: 2 * s)]
+        ),
+        normalizer=st.one_of(st.none(), st.floats(0.5, 10.0)),
+        s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_schedule_matches_dense_reference(self, problem, driver, path, normalizer, s):
+        sched = ScheduleSpec(
+            problem=problem, driver=driver, lambda_path=path, normalizer=normalizer
+        )
+        hamiltonian, derivative = dense_reference(sched, s)
+        assert np.array_equal(hamiltonian_at(sched, s).matrix, hamiltonian)
+        assert np.array_equal(derivative_at(sched, s).matrix, derivative)
+
+
 class TestScheduleSpec:
     def test_unknown_driver(self):
         with pytest.raises(ValueError, match="driver"):
@@ -220,9 +267,11 @@ class TestScheduleSpec:
             )
 
     def test_cap_applies_to_schedule(self):
-        with pytest.raises(ValueError, match="at most 2"):
-            ScheduleSpec(problem=IsingProblem(n=3, J={}, h=(0, 0, 0)), max_spins=2)
+        with pytest.raises(ValueError, match="at most 14"):
+            ScheduleSpec(problem=IsingProblem(n=15, J={}, h=(0,) * 15))
 
     def test_operators_cached(self):
         sched = two_level()
-        assert sched.problem_op is sched.problem_op
+        assert sched.problem_diagonal is sched.problem_diagonal
+        assert sched.transverse_matrix is sched.transverse_matrix
+        assert sched.aff_matrix is sched.aff_matrix

@@ -8,6 +8,7 @@ import pytest
 from annealgap import (
     DegenerateLevelsError,
     DenseOperator,
+    EigensolverError,
     FitWindowError,
     IsingProblem,
     MisChainSpec,
@@ -76,6 +77,14 @@ class TestFullSpectrum:
 
 
 class TestGapTrace:
+    def test_eigensolver_failure_names_s(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match=r"at s=0\.0"):
+            gap_trace(two_level(), 11)
+
     def test_two_level_analytic(self):
         trace = gap_trace(two_level(), 101)
         expected = [two_level_gap(s) for s in trace.grid]
