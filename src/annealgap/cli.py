@@ -130,10 +130,9 @@ def cmd_analyze(args) -> int:
     driver = DRIVER_TOKENS[args.driver]
     sched = _schedule_for(ising, driver, args.lambda_path)
     k_max = min(5, (1 << ising.n) - 1)
-    report, trace = anticrossing_report(
-        sched, grid_points=args.grid, s_tol=args.s_tol, levels=args.levels
-    )
-    overlaps = overlap_trace(sched, k_max=k_max, trace=trace)
+    trace = gap_trace(sched, args.grid, args.levels)
+    report = anticrossing_report(trace, s_tol=args.s_tol)
+    overlaps = overlap_trace(trace, k_max=k_max)
 
     level_count = trace.levels.shape[1]
     gap_rows = (
@@ -199,15 +198,15 @@ def _sweep_cell(delta_b: float, method: str, grid: int, s_tol: float) -> dict:
     else:
         pivot = int(method.removeprefix("eltip-k"))
         sched = ScheduleSpec(problem=transform(ising, pivot), driver=STOQUASTIC)
-    trace = gap_trace(sched, grid_points=grid)
-    located = min_gap(sched, s_tol=s_tol, trace=trace)
+    trace = gap_trace(sched, grid)
+    located = min_gap(trace, s_tol=s_tol)
     return {
         "delta_b": delta_b,
         "method": method,
         "s_star": located.s_star,
         "delta_min": located.delta_min,
         "t_approx": t_approx(located.delta_min),
-        "epsilon": epsilon(sched, trace=trace),
+        "epsilon": epsilon(trace),
         "interior": located.interior,
         "error": "",
     }

@@ -10,18 +10,12 @@ degenerate final levels individually well defined and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .operators import ScheduleSpec, problem_diagonal
+from .operators import problem_diagonal
 from .problems import IsingProblem, SpinAssignment
-from .spectral import (
-    EigensolverError,
-    SpectralTrace,
-    _check_nondegenerate,
-    _reuse_or_scan,
-)
+from .spectral import EigensolverError, SpectralTrace, _check_nondegenerate, _scanned
 
 #: Normalization of the tracked ground state must hold to this tolerance.
 NORMALIZATION_TOL = 1e-10
@@ -69,24 +63,20 @@ class OverlapTrace:
             raise ValueError("weights shape must be (grid points, tracked states)")
 
 
-def overlap_trace(
-    sched: ScheduleSpec,
-    grid_points: int = 2001,
-    k_max: int = 5,
-    trace: Optional[SpectralTrace] = None,
-) -> OverlapTrace:
-    """Track a_k(s) = |<E_k(1)|E_0(s)>|^2 for k = 0..k_max on a uniform grid.
+def overlap_trace(trace: SpectralTrace, k_max: int = 5) -> OverlapTrace:
+    """Track a_k(s) = |<E_k(1)|E_0(s)>|^2 for k = 0..k_max on the trace's grid.
 
-    The full-basis sum of squared overlaps is recorded per point and checked
-    against 1; a degenerate instantaneous ground state is reported as an error
-    with the offending s, since its overlaps are basis-dependent. Pass a
-    ``trace`` scanned from an equal schedule to reuse its grid scan.
+    Reads the ground-state weights that ``gap_trace`` recorded, so it solves
+    no eigenproblem. The full-basis sum of squared overlaps is recorded per
+    point and checked against 1; a degenerate instantaneous ground state is
+    reported as an error with the offending s, since its overlaps are
+    basis-dependent.
     """
+    sched = _scanned(trace, "overlap_trace")
     dim = 1 << sched.n
     if not 0 <= k_max < dim:
         raise ValueError(f"k_max must lie in [0, {dim - 1}], got {k_max}")
     basis = final_basis(sched.problem)
-    trace = _reuse_or_scan(sched, trace, grid_points)
     _check_nondegenerate(
         trace,
         "instantaneous ground state is degenerate at s={s}; "

@@ -3,18 +3,19 @@
 One grid scan, ``gap_trace``, diagonalizes H(s) once per point and records the
 lowest levels, the E1-E0 gap, the transition element |<E1| dH/ds |E0>| and the
 squared ground-state amplitudes. ``min_gap``, ``detect_anticrossing``,
-``epsilon`` and ``overlap_trace`` read that trace and scan only when not given
-one; a golden-section search refines gap minima below the grid step. Also
-here: the eigendecomposition contract, the reciprocal-square time estimate and
-the two-level hyperbola fit near an anti-crossing.
+``epsilon``, ``overlap_trace`` and ``anticrossing_report`` take that trace as
+their input; a golden-section search refines gap minima below the grid step.
+Also here: the eigendecomposition contract, the reciprocal-square time
+estimate and the two-level hyperbola fit near an anti-crossing.
 
 An interior dip in the gap only counts as an anti-crossing when it is
 significant: its floor must undercut the smaller endpoint gap of the trace
-by a relative margin (default 1%). Schedules whose gap slides down to the
-final value can carry real but sub-0.1% wiggles on the way (the two lowest
-levels never approach closer than their final separation); the margin keeps
-those out of reports while leaving genuine anti-crossings, which undercut
-the final gap by factors of 10 to 10^4, untouched.
+by a relative margin of 1% (``DEFAULT_UNDERCUT``). Schedules whose gap
+slides down to the final value can carry real but sub-0.1% wiggles on the
+way (the two lowest levels never approach closer than their final
+separation); the margin keeps those out of reports while leaving genuine
+anti-crossings, which undercut the final gap by factors of 10 to 10^4,
+untouched.
 """
 
 from __future__ import annotations
@@ -168,13 +169,11 @@ def gap_trace(
     return _scan(sched, np.linspace(0.0, 1.0, grid_points), keep)
 
 
-def _reuse_or_scan(
-    sched: ScheduleSpec, trace: Optional[SpectralTrace], grid_points: int, levels: int = 6
-) -> SpectralTrace:
-    """``trace`` if it was scanned from a schedule equal to ``sched``, else a new scan."""
-    if trace is not None and trace.schedule == sched and trace.element is not None:
-        return trace
-    return gap_trace(sched, grid_points, levels)
+def _scanned(trace: SpectralTrace, caller: str) -> ScheduleSpec:
+    """The schedule of a trace scanned by gap_trace; ValueError for a hand-built one."""
+    if trace.schedule is None or trace.element is None or trace.ground_weights is None:
+        raise ValueError(f"{caller} needs a trace scanned by gap_trace")
+    return trace.schedule
 
 
 def _check_nondegenerate(trace: SpectralTrace, message: str) -> None:
@@ -192,6 +191,8 @@ def _refine(
     Returns the best point evaluated, or grid point k itself when no
     evaluation undercuts its gap or there is no schedule to evaluate.
     """
+    if not (math.isfinite(s_tol) and s_tol > 0):
+        raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
     best_s, best_g = float(grid[k]), float(gaps[k])
     if sched is None:
         return best_s, best_g
@@ -220,56 +221,42 @@ def _refine(
     return best_s, best_g
 
 
-def min_gap(
-    sched: ScheduleSpec,
-    s_tol: float = 1e-6,
-    grid_points: int = 2001,
-    undercut: float = DEFAULT_UNDERCUT,
-    trace: Optional[SpectralTrace] = None,
-) -> MinGapResult:
+def min_gap(trace: SpectralTrace, s_tol: float = 1e-6) -> MinGapResult:
     """Locate the minimum of E1(s) - E0(s).
 
-    Coarse grid scan followed by golden-section refinement of the bracketing
-    interval down to an s-error of at most ``s_tol``; the refined value never
-    exceeds any scanned gap. ``interior`` is True only when the minimum sits
-    away from the schedule ends and undercuts the endpoint gap by more than
-    ``undercut`` (a significant anti-crossing); shallow end-of-schedule
-    minima are reported with interior=False. Pass a ``trace`` scanned from an
-    equal schedule to reuse its grid scan.
+    The smallest traced gap is refined by golden-section search of the
+    bracketing interval down to an s-error of at most ``s_tol``; the refined
+    value never exceeds any scanned gap. ``interior`` is True only when the
+    minimum sits away from the schedule ends and undercuts the endpoint gap
+    by more than ``DEFAULT_UNDERCUT`` (a significant anti-crossing); shallow
+    end-of-schedule minima are reported with interior=False. Refinement
+    falls back to grid values when the trace carries no schedule.
     """
-    if s_tol <= 0:
-        raise ValueError(f"s_tol must be positive, got {s_tol}")
-    trace = _reuse_or_scan(sched, trace, grid_points)
     gaps = trace.gap
-    s_star, delta = _refine(sched, trace.grid, gaps, int(np.argmin(gaps)), s_tol)
-    significant = delta < (1.0 - undercut) * min(gaps[0], gaps[-1])
+    s_star, delta = _refine(trace.schedule, trace.grid, gaps, int(np.argmin(gaps)), s_tol)
+    significant = delta < (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
     interior = significant and s_tol < s_star < 1.0 - s_tol
     return MinGapResult(s_star, delta, bool(interior))
 
 
-def detect_anticrossing(
-    trace: SpectralTrace,
-    s_tol: float = 1e-6,
-    undercut: float = DEFAULT_UNDERCUT,
-) -> list[AntiCrossing]:
+def detect_anticrossing(trace: SpectralTrace, s_tol: float = 1e-6) -> list[AntiCrossing]:
     """All significant interior local minima of the gap, refined like min_gap.
 
     A strict interior local minimum of the traced gap qualifies only when its
-    refined floor undercuts the smaller endpoint gap by more than ``undercut``;
-    an empty list means the gap is monotone, minimized only at an endpoint, or
-    dips by less than the margin. Refinement re-evaluates the schedule when
-    the trace carries one, and falls back to grid values otherwise.
+    refined floor undercuts the smaller endpoint gap by more than
+    ``DEFAULT_UNDERCUT``; an empty list means the gap is monotone, minimized
+    only at an endpoint, or dips by less than the margin. Refinement
+    re-evaluates the schedule when the trace carries one, and falls back to
+    grid values otherwise.
     """
     gaps = trace.gap
-    threshold = (1.0 - undercut) * min(gaps[0], gaps[-1])
+    threshold = (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
     minima = [k for k in range(1, len(gaps) - 1) if gaps[k - 1] > gaps[k] < gaps[k + 1]]
     refined = [_refine(trace.schedule, trace.grid, gaps, k, s_tol) for k in minima]
     return [AntiCrossing(s, g) for s, g in refined if g < threshold]
 
 
-def epsilon(
-    sched: ScheduleSpec, grid_points: int = 2001, trace: Optional[SpectralTrace] = None
-) -> float:
+def epsilon(trace: SpectralTrace) -> float:
     """Largest transition element max_s |<E1(s)| dH/ds |E0(s)>| over the grid.
 
     The element is taken as it stands, not divided by the gap: it is the
@@ -279,11 +266,10 @@ def epsilon(
 
     The grid around the arg-max is refined once at ten times the resolution.
     Raises DegenerateLevelsError when E0 and E1 coincide at an evaluation
-    point, where the matrix element is not basis-independent. Pass a
-    ``trace`` scanned from an equal schedule to reuse its grid scan.
+    point, where the matrix element is not basis-independent.
     """
+    sched = _scanned(trace, "epsilon")
     degenerate = "E0 and E1 are degenerate at s={s}; transition element undefined"
-    trace = _reuse_or_scan(sched, trace, grid_points)
     _check_nondegenerate(trace, degenerate)
     grid = trace.grid
     i = int(np.argmax(trace.element))
@@ -305,7 +291,6 @@ def fit_hyperbola(
     s_star: float,
     delta_min: float,
     window: float = 0.05,
-    warn_ratio: float = 0.1,
 ) -> HyperbolaFit:
     """Least-squares hyperbola through the two lowest levels around s_star.
 
@@ -313,8 +298,8 @@ def fit_hyperbola(
     with Dmin held fixed at the supplied minimum gap. The mean of the two
     branches determines (E(s*), B) by linear least squares; the squared
     branch difference determines A^2 by least squares through the origin.
-    A residual above ``warn_ratio * delta_min`` triggers a warning rather
-    than an exception.
+    A residual above 10% of ``delta_min`` triggers a warning rather than an
+    exception.
     """
     grid = trace.grid
     sel = np.abs(grid - s_star) <= window
@@ -342,10 +327,10 @@ def fit_hyperbola(
     center_line = e_center + slope_mean * x
     res = np.concatenate([center_line - half - e0, center_line + half - e1])
     residual = float(np.sqrt(np.mean(res ** 2)))
-    if residual > warn_ratio * delta_min:
+    if residual > 0.1 * delta_min:
         warnings.warn(
             f"hyperbola fit residual {residual:.3e} exceeds "
-            f"{warn_ratio:.0%} of the minimum gap {delta_min:.3e}",
+            f"10% of the minimum gap {delta_min:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -358,26 +343,14 @@ def fit_hyperbola(
     )
 
 
-def anticrossing_report(
-    sched: ScheduleSpec,
-    grid_points: int = 2001,
-    s_tol: float = 1e-6,
-    levels: int = 6,
-    window: float = 0.05,
-    undercut: float = DEFAULT_UNDERCUT,
-    trace: Optional[SpectralTrace] = None,
-) -> tuple[AntiCrossingReport, SpectralTrace]:
-    """Minimum gap, adiabatic numerator, time estimate, and hyperbola in one pass.
-
-    Pass a ``trace`` scanned from an equal schedule to reuse its grid scan.
-    """
-    trace = _reuse_or_scan(sched, trace, grid_points, levels)
-    located = min_gap(sched, s_tol=s_tol, undercut=undercut, trace=trace)
-    eps = epsilon(sched, trace=trace)
+def anticrossing_report(trace: SpectralTrace, s_tol: float = 1e-6) -> AntiCrossingReport:
+    """Minimum gap, adiabatic numerator, time estimate, and hyperbola of one trace."""
+    located = min_gap(trace, s_tol)
+    eps = epsilon(trace)
     hyperbola = None
     if located.interior:
-        hyperbola = fit_hyperbola(trace, located.s_star, located.delta_min, window)
-    report = AntiCrossingReport(
+        hyperbola = fit_hyperbola(trace, located.s_star, located.delta_min)
+    return AntiCrossingReport(
         s_star=located.s_star,
         delta_min=located.delta_min,
         interior=located.interior,
@@ -385,4 +358,3 @@ def anticrossing_report(
         t_approx=t_approx(located.delta_min),
         hyperbola=hyperbola,
     )
-    return report, trace

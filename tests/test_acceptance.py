@@ -75,7 +75,7 @@ def engine():
         }
         for method, sched in runs.items():
             trace = gap_trace(sched, GRID)
-            located = min_gap(sched, s_tol=S_TOL, trace=trace)
+            located = min_gap(trace, s_tol=S_TOL)
             out[(delta_b, method)] = {
                 "schedule": sched,
                 "trace": trace,
@@ -88,7 +88,9 @@ def engine():
 def overlaps():
     """Full-basis overlap traces of the stoquastic runs."""
     return {
-        delta_b: overlap_trace(ScheduleSpec(problem=_chain_ising(delta_b)), GRID, k_max=31)
+        delta_b: overlap_trace(
+            gap_trace(ScheduleSpec(problem=_chain_ising(delta_b)), GRID), k_max=31
+        )
         for delta_b in DELTAS
     }
 
@@ -188,7 +190,7 @@ def test_criterion_5_time_estimate_ratios(engine):
         for method in ("stoquastic", "eltip-k0"):
             run = engine[(delta_b, method)]
             coarse = run["located"].delta_min
-            fine = min_gap(run["schedule"], s_tol=S_TOL, grid_points=20001).delta_min
+            fine = min_gap(gap_trace(run["schedule"], 20001), s_tol=S_TOL).delta_min
             drifts.append(abs(coarse - fine) / fine)
             per_method[method] = coarse
         ratios[delta_b] = t_approx(per_method["stoquastic"]) / t_approx(
@@ -272,8 +274,8 @@ def test_criterion_8_flip_speed_ordering(overlaps):
 def test_criterion_9_two_level_oracle():
     sched = ScheduleSpec(problem=IsingProblem(n=1, J={}, h=(1.0,)))
     trace = gap_trace(sched, GRID)
-    located = min_gap(sched, s_tol=S_TOL, trace=trace)
-    eps = epsilon(sched, GRID)
+    located = min_gap(trace, s_tol=S_TOL)
+    eps = epsilon(trace)
     fit = fit_hyperbola(trace, located.s_star, located.delta_min)
     # For H(s) = (1-s)X + sZ the transition element |<E1|dH/ds|E0>| is
     # 1/sqrt((1-s)^2 + s^2): sqrt(2) at its maximum, s = 0.5.

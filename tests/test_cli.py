@@ -144,8 +144,10 @@ class TestAnalyze:
 
     def test_nonstoquastic_provenance(self, tmp_path, chain_file):
         prefix = str(tmp_path / "ns_")
-        rc = main(["analyze", "--problem", str(chain_file), "--driver", "nonstoq",
-                   "--grid", "201", "--out", prefix])
+        # a known misfit: residual 1.194e-2 against a minimum gap of 7.578e-3
+        with pytest.warns(RuntimeWarning, match="hyperbola fit residual"):
+            rc = main(["analyze", "--problem", str(chain_file), "--driver", "nonstoq",
+                       "--grid", "201", "--out", prefix])
         assert rc == 0
         report = json.loads((tmp_path / "ns_report.json").read_text())
         assert report["driver"] == "nonstoquastic"
@@ -172,6 +174,14 @@ class TestAnalyze:
         assert "b[0] must be finite, got nan" in err
         assert "symmetric" not in err
         assert not (tmp_path / "nan_report.json").exists()
+
+    @pytest.mark.parametrize("s_tol", ["nan", "inf"])
+    def test_bad_tolerance_is_input_error(self, tmp_path, chain_file, capsys, s_tol):
+        rc = main(["analyze", "--problem", str(chain_file), "--grid", "101",
+                   f"--s-tol={s_tol}", "--out", str(tmp_path / "tol_")])
+        assert rc == 2
+        assert "s_tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "tol_report.json").exists()
 
 
 class TestSweep:

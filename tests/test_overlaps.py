@@ -9,6 +9,7 @@ from annealgap import (
     MisChainSpec,
     ScheduleSpec,
     final_basis,
+    gap_trace,
     min_gap,
     mis_chain,
     overlap_trace,
@@ -52,37 +53,37 @@ class TestFinalBasis:
 
 class TestOverlapTrace:
     def test_endpoint_weights(self):
-        trace = overlap_trace(chain_schedule(0.04), 201)
+        trace = overlap_trace(gap_trace(chain_schedule(0.04), 201))
         assert trace.weights[-1, 0] == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.abs(trace.weights[-1, 1:]) <= 1e-10)
         assert np.allclose(trace.weights[0], 1.0 / 32.0, atol=1e-10)
 
     def test_normalization_tracked(self):
-        trace = overlap_trace(chain_schedule(0.04), 201)
+        trace = overlap_trace(gap_trace(chain_schedule(0.04), 201))
         assert np.all(np.abs(trace.norm - 1.0) <= 1e-10)
 
     def test_weights_within_unit_interval(self):
-        trace = overlap_trace(chain_schedule(0.08), 201)
+        trace = overlap_trace(gap_trace(chain_schedule(0.08), 201))
         assert np.all(trace.weights >= 0.0)
         assert np.all(trace.weights <= 1.0 + 1e-12)
 
     def test_labels_are_low_final_energies(self):
-        trace = overlap_trace(chain_schedule(0.04), 11)
+        trace = overlap_trace(gap_trace(chain_schedule(0.04), 11))
         assert trace.labels[0] == pytest.approx(-12.0, abs=1e-12)
         assert len(trace.labels) == 6
 
     def test_k_max_bounds(self):
         with pytest.raises(ValueError, match="k_max"):
-            overlap_trace(chain_schedule(0.04), 11, k_max=32)
+            overlap_trace(gap_trace(chain_schedule(0.04), 11), k_max=32)
 
     def test_degenerate_ground_state_reported(self):
         with pytest.raises(DegenerateLevelsError, match="s=1.0"):
-            overlap_trace(chain_schedule(0.0), 101)
+            overlap_trace(gap_trace(chain_schedule(0.0), 101))
 
     def test_rapid_switch_at_the_anticrossing(self):
-        sched = chain_schedule(0.01)
-        trace = overlap_trace(sched, 2001)
-        located = min_gap(sched)
+        scan = gap_trace(chain_schedule(0.01), 2001)
+        trace = overlap_trace(scan)
+        located = min_gap(scan)
         a00, a10 = trace.weights[:, 0], trace.weights[:, 1]
         second_half = trace.grid >= 0.5
         takeover = np.where(second_half & (a00 >= a10))[0][0]
@@ -98,7 +99,7 @@ class TestFlipSpeedTrend:
     def test_speed_increases_as_final_gap_shrinks(self):
         speeds = {}
         for delta_b in (0.01, 0.02, 0.04, 0.06, 0.08):
-            trace = overlap_trace(chain_schedule(delta_b), 2001)
+            trace = overlap_trace(gap_trace(chain_schedule(delta_b), 2001))
             a00 = trace.weights[:, 0]
             speeds[delta_b] = np.abs(np.diff(a00) / np.diff(trace.grid)).max()
         ordered = [speeds[db] for db in (0.01, 0.02, 0.04, 0.06, 0.08)]

@@ -134,7 +134,7 @@ class TestGapTrace:
 
 class TestMinGap:
     def test_two_level_analytic(self):
-        result = min_gap(two_level())
+        result = min_gap(gap_trace(two_level(), 2001))
         assert result.s_star == pytest.approx(0.5, abs=1e-6)
         assert result.delta_min == pytest.approx(SQRT2, abs=1e-9)
         assert result.interior
@@ -142,37 +142,37 @@ class TestMinGap:
     def test_refinement_never_increases(self):
         sched = chain_schedule(0.01)
         trace = gap_trace(sched, 2001)
-        result = min_gap(sched, trace=trace)
+        result = min_gap(trace)
         assert result.delta_min <= trace.gap.min()
 
-    def test_trace_reuse_matches_fresh_scan(self):
-        sched = chain_schedule(0.04)
-        trace = gap_trace(sched, 501)
-        assert min_gap(sched, trace=trace) == min_gap(sched, grid_points=501)
-
     def test_chain_interior_anticrossing(self):
-        result = min_gap(chain_schedule(0.04))
+        result = min_gap(gap_trace(chain_schedule(0.04), 2001))
         assert result.interior
         assert result.s_star == pytest.approx(0.747902, abs=1e-4)
         assert result.delta_min == pytest.approx(1.822812e-3, rel=1e-4)
         assert result.delta_min < 0.04 / 10
 
     def test_transformed_chain_minimum_near_end(self):
-        result = min_gap(chain_schedule(0.04, pivot=0))
+        result = min_gap(gap_trace(chain_schedule(0.04, pivot=0), 2001))
         assert not result.interior
         assert result.s_star >= 0.999
         assert result.delta_min == pytest.approx(3.999198e-2, rel=1e-4)
 
     def test_sub_grid_dip_next_to_endpoint_found(self):
         # the 0.01 transform dips below the final gap inside the last grid step
-        result = min_gap(chain_schedule(0.01, pivot=0))
+        result = min_gap(gap_trace(chain_schedule(0.01, pivot=0), 2001))
         assert not result.interior
         assert result.delta_min < 0.01
         assert result.delta_min == pytest.approx(9.999875e-3, rel=1e-4)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            min_gap(two_level(), s_tol=0.0)
+            min_gap(gap_trace(two_level(), 2001), s_tol=0.0)
+
+    @pytest.mark.parametrize("s_tol", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, s_tol):
+        with pytest.raises(ValueError, match="s_tol"):
+            min_gap(gap_trace(two_level(), 11), s_tol=s_tol)
 
 
 class TestDetectAnticrossing:
@@ -217,10 +217,16 @@ class TestDetectAnticrossing:
         assert len(found) == 1
         assert found[0].s == pytest.approx(0.6, abs=0.01)
 
+    @pytest.mark.parametrize("s_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, s_tol):
+        # the 0.04 chain has one interior minimum to refine
+        with pytest.raises(ValueError, match="s_tol"):
+            detect_anticrossing(gap_trace(chain_schedule(0.04), 101), s_tol=s_tol)
+
 
 class TestEpsilon:
     def test_two_level_closed_form(self):
-        got = epsilon(two_level(), 2001)
+        got = epsilon(gap_trace(two_level(), 2001))
         oracle = max(two_level_element(s) for s in np.linspace(0, 1, 2001))
         assert got == pytest.approx(oracle, abs=1e-9)
         assert got == pytest.approx(SQRT2, abs=1e-6)
@@ -239,19 +245,28 @@ class TestEpsilon:
         sched = chain_schedule(0.04)
         from annealgap.operators import derivative_at
 
-        got = epsilon(sched, 401)
+        got = epsilon(gap_trace(sched, 401))
         norm = np.abs(np.linalg.eigvalsh(derivative_at(sched, 0.5).matrix)).max()
         assert got <= norm + 1e-9
 
     def test_chain_order_of_problem_scale(self):
-        got = epsilon(chain_schedule(0.04), 2001)
+        got = epsilon(gap_trace(chain_schedule(0.04), 2001))
         assert got == pytest.approx(1.0126043, rel=1e-6)
         assert 0.1 < got < 20.0
 
     def test_degenerate_final_levels_reported(self):
         sched = chain_schedule(0.0)
         with pytest.raises(DegenerateLevelsError, match="s=1.0"):
-            epsilon(sched, 101)
+            epsilon(gap_trace(sched, 101))
+
+    def test_hand_built_trace_rejected(self):
+        grid = np.linspace(0, 1, 11)
+        levels = np.column_stack([-grid, 2.0 - grid])
+        trace = SpectralTrace(grid, levels, levels[:, 1] - levels[:, 0])
+        with pytest.raises(ValueError, match="epsilon needs a trace scanned by gap_trace"):
+            epsilon(trace)
+        with pytest.raises(ValueError, match="overlap_trace needs a trace scanned"):
+            overlap_trace(trace)
 
 
 class TestTApprox:
@@ -275,7 +290,7 @@ class TestFitHyperbola:
     def test_two_level_exact(self):
         sched = two_level()
         trace = gap_trace(sched, 2001)
-        result = min_gap(sched, trace=trace)
+        result = min_gap(trace)
         fit = fit_hyperbola(trace, result.s_star, result.delta_min)
         assert fit.a == pytest.approx(2.0 * SQRT2, abs=1e-6)
         assert fit.b == pytest.approx(0.0, abs=1e-9)
@@ -304,7 +319,7 @@ class TestFitHyperbola:
     def test_high_residual_warns(self):
         sched = chain_schedule(0.04)
         trace = gap_trace(sched, 2001)
-        result = min_gap(sched, trace=trace)
+        result = min_gap(trace)
         with pytest.warns(RuntimeWarning, match="residual"):
             fit = fit_hyperbola(trace, result.s_star, result.delta_min)
         assert fit.a > 0 and math.isfinite(fit.a) and math.isfinite(fit.b)
@@ -312,7 +327,7 @@ class TestFitHyperbola:
     def test_chain_fit_stable_in_tight_window(self):
         sched = chain_schedule(0.04)
         trace = gap_trace(sched, 2001)
-        result = min_gap(sched, trace=trace)
+        result = min_gap(trace)
         fit = fit_hyperbola(trace, result.s_star, result.delta_min, window=0.01)
         finer = gap_trace(sched, 4001)
         refit = fit_hyperbola(finer, result.s_star, result.delta_min, window=0.01)
@@ -323,7 +338,8 @@ class TestFitHyperbola:
 
 class TestAntiCrossingReport:
     def test_two_level_report(self):
-        report, trace = anticrossing_report(two_level())
+        trace = gap_trace(two_level(), 2001)
+        report = anticrossing_report(trace)
         assert report.s_star == pytest.approx(0.5, abs=1e-6)
         assert report.delta_min == pytest.approx(SQRT2, abs=1e-9)
         assert report.t_approx == pytest.approx(0.5, abs=1e-9)
@@ -333,7 +349,7 @@ class TestAntiCrossingReport:
         assert trace.schedule is not None
 
     def test_transformed_chain_no_hyperbola(self):
-        report, _ = anticrossing_report(chain_schedule(0.04, pivot=0), grid_points=501)
+        report = anticrossing_report(gap_trace(chain_schedule(0.04, pivot=0), 501))
         assert not report.interior
         assert report.hyperbola is None
         assert report.t_approx == pytest.approx(report.delta_min**-2, rel=1e-12)
@@ -367,29 +383,20 @@ class TestSingleScan:
     GRID = 101
     S_TOL = 1e-6
 
-    def test_trace_reused_for_equal_distinct_schedule(self, solve_counts):
+    def test_consumers_read_the_trace(self, solve_counts):
         trace = gap_trace(chain_schedule(0.04), self.GRID)
-        twin = chain_schedule(0.04)
-        assert twin == trace.schedule and twin is not trace.schedule
         solve_counts["eigh"] = 0
-        reused = min_gap(twin, trace=trace)
-        overlap_trace(twin, trace=trace)
+        min_gap(trace)
+        overlap_trace(trace)
         assert solve_counts["eigh"] == 0
-        epsilon(twin, trace=trace)
+        epsilon(trace)
         assert solve_counts["eigh"] == 21  # only the rescan around the arg-max
-        assert reused == min_gap(twin, grid_points=self.GRID)
-
-    def test_trace_of_other_schedule_not_reused(self, solve_counts):
-        trace = gap_trace(chain_schedule(0.04), self.GRID)
-        solve_counts["eigh"] = 0
-        min_gap(chain_schedule(0.08), grid_points=self.GRID, trace=trace)
-        assert solve_counts["eigh"] == self.GRID
 
     @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
     def test_analyze_solve_counts(self, solve_counts):
-        sched = chain_schedule(0.04)
-        _, trace = anticrossing_report(sched, grid_points=self.GRID, s_tol=self.S_TOL)
-        overlap_trace(sched, k_max=5, trace=trace)
+        trace = gap_trace(chain_schedule(0.04), self.GRID)
+        anticrossing_report(trace, s_tol=self.S_TOL)
+        overlap_trace(trace, k_max=5)
         refine = golden_evaluations(2.0 / (self.GRID - 1), self.S_TOL)
         assert solve_counts == {"eigh": self.GRID + 21, "eigvalsh": refine}
 
