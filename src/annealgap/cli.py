@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -71,6 +72,29 @@ def _fmt(x: float) -> str:
 
 def _round12(x: float) -> float:
     return float(_fmt(x))
+
+
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _as_ising(problem) -> IsingProblem:
@@ -300,9 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, help="input problem file")
     p.add_argument("--driver", default="stoq", choices=sorted(DRIVER_TOKENS))
     p.add_argument("--lambda-path", default="linear", choices=sorted(LAMBDA_PATHS))
-    p.add_argument("--grid", type=int, default=2001, help="grid points (default 2001)")
-    p.add_argument("--s-tol", type=float, default=1e-6, help="refinement tolerance")
-    p.add_argument("--levels", type=int, default=6, help="levels kept in gaps.csv")
+    p.add_argument("--grid", type=_int_at_least(2), default=2001, help="grid points (default 2001)")
+    p.add_argument("--s-tol", type=_positive_finite, default=1e-6, help="refinement tolerance")
+    p.add_argument(
+        "--levels", type=_int_at_least(2), default=6, help="levels kept in gaps.csv (at most 2^n)"
+    )
     p.add_argument("--k", type=int, default=None, help="apply pivot-k transform first")
     p.add_argument("--out", required=True, help="output prefix for gaps.csv, overlaps.csv, report.json")
     p.set_defaults(func=cmd_analyze)
@@ -318,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(SWEEP_METHODS),
         help="comma-separated subset of: " + ",".join(SWEEP_METHODS),
     )
-    p.add_argument("--grid", type=int, default=2001)
-    p.add_argument("--s-tol", type=float, default=1e-6)
-    p.add_argument("--workers", type=int, default=1, help="concurrent sweep cells")
+    p.add_argument("--grid", type=_int_at_least(2), default=2001)
+    p.add_argument("--s-tol", type=_positive_finite, default=1e-6)
+    p.add_argument("--workers", type=_int_at_least(1), default=1, help="concurrent sweep cells")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.set_defaults(func=cmd_sweep)
 

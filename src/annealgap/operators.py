@@ -1,18 +1,23 @@
 """Dense real-symmetric operators for annealing schedules.
 
-Operators are built by iterating computational basis indices with bit
-operations rather than by Kronecker products, and are exactly symmetric by
-construction. Basis convention: bit i of index m is 0 for sigma_i = +1.
-A ``ScheduleSpec`` caches H_P as its diagonal vector next to the dense
-driver arrays; ``schedule_matrix`` assembles H(s) and dH/ds from them. Dense
-storage is capped at 14 spins (16384 x 16384), checked before allocating.
+Both drivers are fixed bit-flip patterns: H_B holds 1 at every pair of basis
+indices one spin flip apart, H_AFF 2/N at every pair two flips apart. They
+are written at flat index arrays of those pairs rather than built from
+Kronecker products, so every operator is exactly symmetric by construction.
+Basis convention: bit i of index m is 0 for sigma_i = +1. A ``ScheduleSpec``
+caches H_P as its diagonal vector next to the flip-pair indices;
+``schedule_matrix`` fills one zeroed array with H(s) or dH/ds from them.
+Dense storage is capped at 14 spins (16384 x 16384), checked before
+allocating.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,14 +85,31 @@ def problem_operator(p: IsingProblem) -> DenseOperator:
     return DenseOperator(p.n, np.diag(problem_diagonal(p)))
 
 
+def _flip_indices(n: int, flips: int) -> np.ndarray:
+    """Flat indices into a 2^n x 2^n array of every basis pair ``flips`` spin flips apart.
+
+    Grouped by row, so writes through them walk the array in memory order.
+    """
+    rows = np.arange(1 << n)[:, None]
+    masks = np.array(
+        [sum(1 << i for i in spins) for spins in combinations(range(n), flips)],
+        dtype=np.intp,
+    )
+    return ((rows << n) + (rows ^ masks)).reshape(-1)
+
+
+def _checked_normalizer(n: int, normalizer: Optional[float]) -> float:
+    norm = float(n if normalizer is None else normalizer)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"normalizer must be positive and finite, got {normalizer}")
+    return norm
+
+
 def transverse_driver(n: int) -> DenseOperator:
     """Sum of single-spin-flip operators: 1 at every Hamming-distance-1 pair."""
     _check_cap(n)
-    dim = 1 << n
-    m = np.zeros((dim, dim))
-    rows = np.arange(dim)
-    for i in range(n):
-        m[rows, rows ^ (1 << i)] = 1.0
+    m = np.zeros((1 << n, 1 << n))
+    m.reshape(-1)[_flip_indices(n, 1)] = 1.0
     return DenseOperator(n, m)
 
 
@@ -98,16 +120,11 @@ def antiferromagnetic_driver(n: int, normalizer: Optional[float] = None) -> Dens
     two-spin-flip fluctuation term. N defaults to the spin count.
     """
     _check_cap(n)
-    norm = float(n if normalizer is None else normalizer)
-    if norm <= 0:
-        raise ValueError(f"normalizer must be positive, got {norm}")
+    norm = _checked_normalizer(n, normalizer)
     dim = 1 << n
     m = np.zeros((dim, dim))
-    rows = np.arange(dim)
-    m[rows, rows] = n / norm
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[rows, rows ^ ((1 << i) | (1 << j))] = 2.0 / norm
+    m.reshape(-1)[_flip_indices(n, 2)] = 2.0 / norm
+    m.reshape(-1)[:: dim + 1] = n / norm
     return DenseOperator(n, m)
 
 
@@ -136,7 +153,7 @@ class ScheduleSpec:
     nonstoquastic:   H(s) = s [lambda(s) H_P + (1-lambda(s)) H_AFF] + (1-s) H_B
 
     H_B is the transverse driver, H_AFF the antiferromagnetic fluctuation term
-    with aggregate normalizer N (defaults to the spin count).
+    with aggregate normalizer N (defaults to the spin count; positive and finite).
     """
 
     problem: IsingProblem
@@ -148,6 +165,8 @@ class ScheduleSpec:
         if self.driver not in (STOQUASTIC, NONSTOQUASTIC):
             raise ValueError(f"unknown driver {self.driver!r}")
         _check_cap(self.problem.n)
+        if self.normalizer is not None:
+            _checked_normalizer(self.problem.n, self.normalizer)
         if self.driver == NONSTOQUASTIC:
             end = self.lambda_path.value(1.0)
             if abs(end - 1.0) > 1e-12:
@@ -167,12 +186,22 @@ class ScheduleSpec:
         return diag
 
     @cached_property
-    def transverse_matrix(self) -> np.ndarray:
-        return transverse_driver(self.n).matrix
+    def one_flip_indices(self) -> np.ndarray:
+        """Flat indices of H_B's entries."""
+        idx = _flip_indices(self.n, 1)
+        idx.flags.writeable = False
+        return idx
 
     @cached_property
-    def aff_matrix(self) -> np.ndarray:
-        return antiferromagnetic_driver(self.n, self.normalizer).matrix
+    def two_flip_indices(self) -> np.ndarray:
+        """Flat indices of H_AFF's off-diagonal entries."""
+        idx = _flip_indices(self.n, 2)
+        idx.flags.writeable = False
+        return idx
+
+    @cached_property
+    def _aff_norm(self) -> float:
+        return _checked_normalizer(self.n, self.normalizer)
 
     def _lambda_derivative(self, s: float) -> float:
         if self.lambda_path.derivative is not None:
@@ -190,21 +219,31 @@ class ScheduleSpec:
 def schedule_matrix(sched: ScheduleSpec, s: float, derivative: bool = False) -> np.ndarray:
     """H(s), or its exact dH/ds (product rule through lambda(s)), as a new array.
 
-    Only the drivers are dense; the H_P term goes onto the diagonal. Entries equal
-    the dense form's: keep 1 - lam - s*lam'; 1 - (lam + s*lam') rounds differently.
+    Each coefficient is written once into a zeroed array: the driver term at the
+    one-flip pairs, the H_AFF term at the two-flip pairs and the rest added on
+    the diagonal. Entries equal the whole-matrix form's bit for bit: keep
+    1 - lam - s*lam', since 1 - (lam + s*lam') rounds differently. Adding keeps
+    +0.0 where s*E_m is -0.0; LAPACK's reflectors follow the sign of zero, so
+    the eigenvectors of a degenerate level (E1 at s = 0) depend on it.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"schedule parameter s={s} outside [0, 1]")
     outer, driver = (1.0, -1.0) if derivative else (s, 1.0 - s)
-    m = driver * sched.transverse_matrix
+    dim = 1 << sched.n
+    m = np.zeros((dim, dim))
+    flat = m.reshape(-1)
+    flat[sched.one_flip_indices] = driver
     if sched.driver == STOQUASTIC:
-        m.reshape(-1)[:: m.shape[0] + 1] += outer * sched.problem_diagonal
+        flat[:: dim + 1] += outer * sched.problem_diagonal
         return m
     lam = sched.lambda_path.value(s)
     s_dlam = s * sched._lambda_derivative(s) if derivative else 0.0
-    inner = (1.0 - lam - s_dlam) * sched.aff_matrix
-    inner.reshape(-1)[:: m.shape[0] + 1] += (lam + s_dlam) * sched.problem_diagonal
-    m += outer * inner
+    fluctuation = 1.0 - lam - s_dlam
+    norm = sched._aff_norm
+    flat[sched.two_flip_indices] = outer * (fluctuation * (2.0 / norm))
+    flat[:: dim + 1] += outer * (
+        fluctuation * (sched.n / norm) + (lam + s_dlam) * sched.problem_diagonal
+    )
     return m
 
 

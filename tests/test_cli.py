@@ -11,6 +11,7 @@ from annealgap import (
     mis_chain,
     save_problem,
 )
+from annealgap import cli
 from annealgap.cli import main
 from conftest import ROW_ISING, ROW_ISING_H0, assert_coefficients
 
@@ -27,6 +28,10 @@ def two_level_file(tmp_path):
     path = tmp_path / "single.json"
     save_problem(IsingProblem(n=1, J={}, h=(1.0,)), path)
     return path
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("a rejected argument must stop the run before the scan")
 
 
 class TestConvert:
@@ -131,7 +136,7 @@ class TestAnalyze:
         assert report["hyperbola"] is None
         assert report["k"] == 0
 
-    @pytest.mark.parametrize("levels, columns", [(0, 2), (1, 2), (100, 32)])
+    @pytest.mark.parametrize("levels, columns", [(2, 2), (100, 32)])
     def test_report_levels_match_gaps_columns(self, tmp_path, chain_file, levels, columns):
         prefix = str(tmp_path / "lv_")
         rc = main(["analyze", "--problem", str(chain_file), "--k", "0", "--grid", "201",
@@ -175,12 +180,14 @@ class TestAnalyze:
         assert "symmetric" not in err
         assert not (tmp_path / "nan_report.json").exists()
 
-    @pytest.mark.parametrize("s_tol", ["nan", "inf"])
-    def test_bad_tolerance_is_input_error(self, tmp_path, chain_file, capsys, s_tol):
-        rc = main(["analyze", "--problem", str(chain_file), "--grid", "101",
-                   f"--s-tol={s_tol}", "--out", str(tmp_path / "tol_")])
-        assert rc == 2
-        assert "s_tol must be positive and finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("s_tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_is_input_error(self, tmp_path, chain_file, capsys, monkeypatch, s_tol):
+        monkeypatch.setattr(cli, "gap_trace", _no_scan)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--problem", str(chain_file), "--grid", "101",
+                  f"--s-tol={s_tol}", "--out", str(tmp_path / "tol_")])
+        assert excinfo.value.code == 2
+        assert "argument --s-tol: must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "tol_report.json").exists()
 
 
@@ -251,3 +258,33 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["convert", "--problem", "x.json", "--to", "sudoku", "--out", "y.json"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid", "1"), ("--grid", "0"), ("--levels", "0"), ("--levels", "1"),
+         ("--levels", "-3")],
+    )
+    def test_analyze_rejects_bad_number(self, tmp_path, chain_file, capsys, monkeypatch,
+                                        flag, value):
+        monkeypatch.setattr(cli, "gap_trace", _no_scan)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--problem", str(chain_file), f"{flag}={value}",
+                  "--out", str(tmp_path / "bad_")])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert list(tmp_path.glob("bad_*")) == []
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--s-tol", "nan"), ("--s-tol", "inf"), ("--s-tol", "0"), ("--s-tol", "-1"),
+         ("--grid", "1"), ("--workers", "0"), ("--workers", "-2"), ("--grid", "abc")],
+    )
+    def test_sweep_rejects_bad_number(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "gap_trace", _no_scan)
+        out = tmp_path / "summary.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--delta-b", "0.04", "--methods", "stoquastic",
+                  f"{flag}={value}", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()

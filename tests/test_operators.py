@@ -1,5 +1,6 @@
 """Dense operator construction and the schedule Hamiltonian with its derivative."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -24,6 +25,7 @@ from annealgap import (
     qubo_to_ising,
     transverse_driver,
 )
+from annealgap.operators import schedule_matrix
 from conftest import ROW_ISING, random_ising
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -157,6 +159,11 @@ class TestAntiferromagneticDriver:
         with pytest.raises(ValueError, match="normalizer"):
             antiferromagnetic_driver(2, 0.0)
 
+    @pytest.mark.parametrize("normalizer", [-1.0, float("nan"), float("inf")])
+    def test_normalizer_must_be_positive_and_finite(self, normalizer):
+        with pytest.raises(ValueError, match="normalizer must be positive and finite"):
+            antiferromagnetic_driver(2, normalizer)
+
 
 class TestHamiltonianAt:
     def test_stoquastic_endpoints(self):
@@ -270,8 +277,62 @@ class TestScheduleSpec:
         with pytest.raises(ValueError, match="at most 14"):
             ScheduleSpec(problem=IsingProblem(n=15, J={}, h=(0,) * 15))
 
-    def test_operators_cached(self):
-        sched = two_level()
-        assert sched.problem_diagonal is sched.problem_diagonal
-        assert sched.transverse_matrix is sched.transverse_matrix
-        assert sched.aff_matrix is sched.aff_matrix
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    @pytest.mark.parametrize("normalizer", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_normalizer_rejected_at_construction(self, driver, normalizer):
+        with pytest.raises(ValueError, match="normalizer must be positive and finite"):
+            ScheduleSpec(
+                problem=IsingProblem(n=2, J={}, h=(1.0, 0.5)),
+                driver=driver,
+                normalizer=normalizer,
+            )
+
+    def test_index_arrays_cached_and_reused(self):
+        sched = ScheduleSpec(problem=IsingProblem(n=3, J={}, h=(1.0, 0.5, -0.5)),
+                             driver=NONSTOQUASTIC)
+        cached = (sched.problem_diagonal, sched.one_flip_indices, sched.two_flip_indices)
+        schedule_matrix(sched, 0.3)
+        schedule_matrix(sched, 0.3, derivative=True)
+        assert sched.problem_diagonal is cached[0]
+        assert sched.one_flip_indices is cached[1]
+        assert sched.two_flip_indices is cached[2]
+        assert sched.one_flip_indices.shape == (3 * 8,)
+        assert sched.two_flip_indices.shape == (3 * 8,)
+        assert not any(a.flags.writeable for a in cached)
+
+
+class TestScheduleMemory:
+    """At n = 10 one dense matrix is 8 MiB; a schedule must not keep one alive."""
+
+    N = 10
+    MATRIX_BYTES = 8 * 4**N
+
+    @pytest.fixture(params=[STOQUASTIC, NONSTOQUASTIC])
+    def sched(self, request, rng):
+        return ScheduleSpec(problem=random_ising(rng, self.N), driver=request.param)
+
+    @pytest.fixture
+    def traced(self):
+        tracemalloc.start()
+        try:
+            yield
+        finally:
+            tracemalloc.stop()
+
+    def test_nothing_dense_outlives_assembly(self, sched, traced):
+        hamiltonian = schedule_matrix(sched, 0.3)
+        derivative = schedule_matrix(sched, 0.3, derivative=True)
+        del hamiltonian, derivative
+        current, _ = tracemalloc.get_traced_memory()
+        assert current < 1 << 20
+        assert not any(
+            isinstance(value, np.ndarray) and value.ndim == 2
+            for value in vars(sched).values()
+        )
+
+    def test_one_call_peaks_near_one_matrix(self, sched, traced):
+        tracemalloc.reset_peak()
+        m = schedule_matrix(sched, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+        assert m.nbytes == self.MATRIX_BYTES
+        assert peak < 1.25 * self.MATRIX_BYTES
