@@ -84,6 +84,20 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _delta_b_list(text: str) -> list[float]:
+    """Comma-separated final gaps, each finite and >= 0; repeats are dropped."""
+    values = set()
+    for tok in text.split(","):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {tok!r}") from None
+        if not 0.0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {tok.strip()}")
+        values.add(value + 0.0)  # -0.0 becomes 0.0
+    return sorted(values)
+
+
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
@@ -237,10 +251,6 @@ def _sweep_cell(delta_b: float, method: str, grid: int, s_tol: float) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        delta_bs = sorted(float(tok) for tok in args.delta_b.split(","))
-    except ValueError as exc:
-        raise ProblemFormatError(f"bad delta_b list {args.delta_b!r}") from exc
     methods = [tok.strip() for tok in args.methods.split(",")]
     for method in methods:
         if method not in SWEEP_METHODS:
@@ -249,7 +259,7 @@ def cmd_sweep(args) -> int:
             )
     methods = [m for m in SWEEP_METHODS if m in methods]
 
-    cells = [(db, method) for db in delta_bs for method in methods]
+    cells = [(db, method) for db in args.delta_b for method in methods]
 
     def run_cell(cell):
         db, method = cell
@@ -336,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="chain-instance sweep over final gaps and methods")
     p.add_argument(
         "--delta-b",
+        type=_delta_b_list,
         default=",".join(str(db) for db in SWEEP_DELTA_BS),
         help="comma-separated final gaps (default 0.01,0.02,0.04,0.06,0.08)",
     )

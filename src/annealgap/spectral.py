@@ -16,13 +16,21 @@ way (the two lowest levels never approach closer than their final
 separation); the margin keeps those out of reports while leaving genuine
 anti-crossings, which undercut the final gap by factors of 10 to 10^4,
 untouched.
+
+Scans and refinements of matrices up to ``SERIAL_BLAS_MAX_DIM`` run on one
+OpenBLAS thread, where a second thread only spins, and then restore the
+library's thread count; larger matrices use the library's count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -36,7 +44,66 @@ DEGENERACY_TOL = 1e-12
 #: as an anti-crossing.
 DEFAULT_UNDERCUT = 0.01
 
+#: Largest matrix dimension solved on one OpenBLAS thread. Measured on two
+#: cores: one thread is faster up to 256, two threads from 512 upward.
+SERIAL_BLAS_MAX_DIM = 256
+
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    try:
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        found = [ctypes.CDLL(str(path)) for path in sorted(libs.glob("*openblas*"))]
+    except (OSError, TypeError):  # unloadable library, or numpy without a __file__
+        return None
+    for lib in found:
+        for get_name, set_name in _BLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+_BLAS = _openblas_threads()
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 0
+
+
+@contextmanager
+def _serial_blas(dim: int):
+    """One OpenBLAS thread for the block when ``dim <= SERIAL_BLAS_MAX_DIM``.
+
+    The count is process-global, so concurrent blocks share it: the first to
+    enter saves the library's count and the last to leave restores it. A
+    no-op without a bundled OpenBLAS or for larger matrices.
+    """
+    global _blas_users, _blas_saved
+    if _BLAS is None or dim > SERIAL_BLAS_MAX_DIM:
+        yield
+        return
+    get, set_ = _BLAS
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
 
 
 class EigensolverError(RuntimeError):
@@ -147,14 +214,15 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
     table = np.empty((len(grid), keep))
     element = np.empty(len(grid))
     weights = np.empty((len(grid), 1 << sched.n))
-    for idx, s in enumerate(grid):
-        w, v = _solve(schedule_matrix(sched, s), s)
-        table[idx] = w[:keep]
-        weights[idx] = v[:, 0] ** 2
-        element[idx] = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
-        # No 2^n x 2^n matrix may outlive the point: at n = 10, keeping the
-        # eigenvectors or a cached dH/ds alive raises the peak RSS by 8%.
-        del w, v
+    with _serial_blas(1 << sched.n):
+        for idx, s in enumerate(grid):
+            w, v = _solve(schedule_matrix(sched, s), s)
+            table[idx] = w[:keep]
+            weights[idx] = v[:, 0] ** 2
+            element[idx] = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
+            # No 2^n x 2^n matrix may outlive the point: at n = 10, keeping the
+            # eigenvectors or a cached dH/ds alive raises the peak RSS by 8%.
+            del w, v
     gap = table[:, 1] - table[:, 0]
     return SpectralTrace(grid, table, gap, sched, element, weights)
 
@@ -206,18 +274,19 @@ def _refine(
             best_s, best_g = float(x), g
         return g
 
-    c = hi - _INV_GOLD * (hi - lo)
-    d = lo + _INV_GOLD * (hi - lo)
-    fc, fd = ev(c), ev(d)
-    while hi - lo > s_tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLD * (hi - lo)
-            fc = ev(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLD * (hi - lo)
-            fd = ev(d)
+    with _serial_blas(1 << sched.n):
+        c = hi - _INV_GOLD * (hi - lo)
+        d = lo + _INV_GOLD * (hi - lo)
+        fc, fd = ev(c), ev(d)
+        while hi - lo > s_tol:
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - _INV_GOLD * (hi - lo)
+                fc = ev(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + _INV_GOLD * (hi - lo)
+                fd = ev(d)
     return best_s, best_g
 
 

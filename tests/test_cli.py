@@ -233,6 +233,14 @@ class TestSweep:
         assert main(base + ["--workers", "4", "--out", str(threaded)]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
 
+    def test_repeated_delta_b_scanned_once(self, tmp_path):
+        out = tmp_path / "summary.csv"
+        rc = main(["sweep", "--delta-b", "0.04,0.04,0.040", "--methods", "stoquastic",
+                   "--grid", "101", "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0.04,stoquastic,")
+
     def test_method_order_canonical(self, tmp_path):
         out = tmp_path / "summary.csv"
         rc = main(["sweep", "--delta-b", "0.08", "--methods", "eltip-k0,stoquastic",
@@ -277,7 +285,9 @@ class TestParser:
     @pytest.mark.parametrize(
         "flag, value",
         [("--s-tol", "nan"), ("--s-tol", "inf"), ("--s-tol", "0"), ("--s-tol", "-1"),
-         ("--grid", "1"), ("--workers", "0"), ("--workers", "-2"), ("--grid", "abc")],
+         ("--grid", "1"), ("--workers", "0"), ("--workers", "-2"), ("--grid", "abc"),
+         ("--delta-b", "nan"), ("--delta-b", "inf"), ("--delta-b", "-0.04"),
+         ("--delta-b", "0.04,nan"), ("--delta-b", "0.04,x")],
     )
     def test_sweep_rejects_bad_number(self, tmp_path, capsys, monkeypatch, flag, value):
         monkeypatch.setattr(cli, "gap_trace", _no_scan)

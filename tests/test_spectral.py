@@ -1,6 +1,8 @@
 """Spectral engine: eigensolver contract, traces, min-gap, detection, fits."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from annealgap import (
     FitWindowError,
     IsingProblem,
     MisChainSpec,
+    NONSTOQUASTIC,
+    STOQUASTIC,
     ScheduleSpec,
     SpectralTrace,
     anticrossing_report,
@@ -28,6 +32,7 @@ from annealgap import (
     t_approx,
     transform,
 )
+from annealgap import cli, spectral
 from annealgap.cli import _sweep_cell
 from annealgap.spectral import _INV_GOLD
 
@@ -404,3 +409,118 @@ class TestSingleScan:
         _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
         refine = golden_evaluations(2.0 / (self.GRID - 1), self.S_TOL)
         assert solve_counts == {"eigh": self.GRID + 21, "eigvalsh": refine}
+
+
+def random_schedule(n: int) -> ScheduleSpec:
+    """A ring of random couplings and fields on n spins (dimension 2^n)."""
+    rng = np.random.default_rng(n)
+    couplings = {(i, (i + 1) % n): float(rng.uniform(-1.5, 1.5)) for i in range(n)}
+    return ScheduleSpec(problem=IsingProblem(n=n, J=couplings, h=tuple(rng.uniform(-1, 1, n))))
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """(startup count, counts seen by each solve) for numpy's bundled OpenBLAS."""
+    if spectral._BLAS is None:
+        pytest.skip("no bundled OpenBLAS handle: the thread guard is a no-op")
+    startup = spectral._BLAS[0]()
+    if startup == 1:
+        pytest.skip("OpenBLAS already runs one thread: the guard changes nothing")
+    seen = []
+    original = spectral._solve
+
+    def recorded(*args, **kwargs):
+        seen.append(spectral._BLAS[0]())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_solve", recorded)
+    yield startup, seen
+    assert spectral._BLAS[0]() == startup
+
+
+class TestSerialBlas:
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_small_dimensions_solve_on_one_thread(self, blas_threads, n):
+        _, seen = blas_threads
+        min_gap(gap_trace(random_schedule(n), 3), s_tol=1e-3)
+        assert len(seen) > 3 and set(seen) == {1}
+
+    def test_large_dimension_keeps_library_count(self, blas_threads):
+        startup, seen = blas_threads
+        min_gap(gap_trace(random_schedule(9), 3), s_tol=1e-2)
+        assert len(seen) > 3 and set(seen) == {startup}
+
+    def test_count_restored_after_failed_scan(self, blas_threads, monkeypatch):
+        startup, seen = blas_threads
+        original = np.linalg.eigh
+
+        def fail_second(matrix):
+            if len(seen) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_second)
+        with pytest.raises(EigensolverError):
+            gap_trace(chain_schedule(0.04), 11)
+        assert seen == [1, 1]
+        assert spectral._BLAS[0]() == startup
+
+    def test_last_overlapping_user_restores(self, blas_threads):
+        startup, _ = blas_threads
+        first, second = spectral._serial_blas(32), spectral._serial_blas(32)
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert spectral._BLAS[0]() == 1
+        second.__exit__(None, None, None)
+        assert spectral._BLAS[0]() == startup
+
+    def test_concurrent_users_share_the_count(self, blas_threads):
+        startup, _ = blas_threads
+        inside = []
+
+        def user():
+            for _ in range(500):
+                with spectral._serial_blas(32):
+                    np.linalg.eigvalsh(np.eye(32))
+                    inside.append(spectral._BLAS[0]())
+
+        workers = [threading.Thread(target=user) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(inside) == 2000 and set(inside) == {1}
+        assert spectral._BLAS[0]() == startup
+
+    def test_count_restored_after_threaded_sweep(self, blas_threads, tmp_path):
+        startup, seen = blas_threads
+        out = tmp_path / "summary.csv"
+        assert cli.main(["sweep", "--delta-b", "0.04,0.08", "--methods", "stoquastic,eltip-k1",
+                         "--grid", "51", "--workers", "4", "--out", str(out)]) == 0
+        assert len(seen) > 4 * 51 and set(seen) == {1}
+        assert spectral._BLAS[0]() == startup
+
+
+class TestThreadIndependence:
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    def test_unguarded_run_is_bitwise_equal(self, monkeypatch, driver):
+        ising = qubo_to_ising(mis_chain(MisChainSpec(0.04)))
+        sched = ScheduleSpec(problem=ising, driver=driver)
+
+        def run():
+            trace = gap_trace(sched, 201)
+            return trace, min_gap(trace), epsilon(trace)
+
+        guarded = run()
+        monkeypatch.setattr(spectral, "_BLAS", None)
+        unguarded = run()
+        for name in ("levels", "element", "ground_weights"):
+            assert np.array_equal(getattr(guarded[0], name), getattr(unguarded[0], name))
+        assert guarded[1:] == unguarded[1:]
