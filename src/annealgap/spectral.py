@@ -19,7 +19,10 @@ untouched.
 
 Scans and refinements of matrices up to ``SERIAL_BLAS_MAX_DIM`` run on one
 OpenBLAS thread, where a second thread only spins, and then restore the
-library's thread count; larger matrices use the library's count.
+library's thread count; they solve the whole spectrum with numpy's ``eigh``
+or ``eigvalsh``. Larger matrices use the library's count and LAPACK's
+``dsyevr`` from the OpenBLAS numpy bundles, which computes only the levels
+kept, several times faster; without that library numpy solves them too.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import numpy as np
 
 from .operators import DenseOperator, ScheduleSpec, schedule_matrix
 
-#: Two ascending levels closer than this are treated as degenerate.
+#: Two ascending levels closer than this, relative to max(1, max |level|) at
+#: their point, are treated as degenerate: solver errors scale with ||H||.
 DEGENERACY_TOL = 1e-12
 
 #: Relative margin by which a dip must undercut the endpoint gap to count
@@ -50,30 +54,45 @@ SERIAL_BLAS_MAX_DIM = 256
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
+# (get threads, set threads, LAPACKE dsyevr, LAPACK integer) per OpenBLAS build:
+# the suffixed scipy-openblas build numpy bundles is ILP64, a plain one LP64.
 _BLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+     "scipy_LAPACKE_dsyevr64_", ctypes.c_int64),
+    ("openblas_get_num_threads", "openblas_set_num_threads", "LAPACKE_dsyevr", ctypes.c_int),
 )
 
 
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+def _openblas():
+    """Handles into numpy's bundled OpenBLAS: ((get, set) thread count, dsyevr).
+
+    Either part is None when no bundled library exports it.
+    """
     try:
         libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
         found = [ctypes.CDLL(str(path)) for path in sorted(libs.glob("*openblas*"))]
     except (OSError, TypeError):  # unloadable library, or numpy without a __file__
-        return None
+        return None, None
     for lib in found:
-        for get_name, set_name in _BLAS_SYMBOLS:
+        for get_name, set_name, syevr_name, lapack_int in _BLAS_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
                 get.restype, get.argtypes = ctypes.c_int, []
                 set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    return None
+                syevr = getattr(lib, syevr_name, None)
+                if syevr is not None:
+                    ptr, real = ctypes.c_void_p, ctypes.c_double
+                    syevr.restype = lapack_int
+                    syevr.argtypes = [
+                        ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
+                        lapack_int, ptr, lapack_int, real, real, lapack_int, lapack_int,
+                        real, ctypes.POINTER(lapack_int), ptr, ptr, lapack_int, ptr,
+                    ]
+                return (get, set_), syevr
+    return None, None
 
 
-_BLAS = _openblas_threads()
+_BLAS, _SYEVR = _openblas()
 _blas_lock = threading.Lock()
 _blas_users = 0
 _blas_saved = 0
@@ -118,12 +137,44 @@ class FitWindowError(ValueError):
     """Too few trace points around the requested center for a fit."""
 
 
-def _solve(matrix: np.ndarray, s: Optional[float] = None, vectors: bool = True):
-    """``eigh`` or ``eigvalsh``; a LAPACK failure raises EigensolverError naming s."""
+def _solve(
+    matrix: np.ndarray, s: Optional[float] = None, vectors: bool = True,
+    keep: Optional[int] = None,
+):
+    """The ``keep`` lowest levels (all when None), with eigenvectors as columns.
+
+    Above ``SERIAL_BLAS_MAX_DIM`` LAPACK's dsyevr computes only the requested
+    levels, overwriting ``matrix``; otherwise ``eigh`` or ``eigvalsh`` solves
+    the whole spectrum. Any LAPACK failure raises EigensolverError naming s.
+    """
+    where = "" if s is None else f" at s={s}"
+    dim = matrix.shape[0]
+    if keep is not None and _SYEVR is not None and dim > SERIAL_BLAS_MAX_DIM:
+        matrix = np.require(matrix, np.float64, ["C", "W"])  # copies only a read-only input
+        lapack_int = _SYEVR.restype
+        found = lapack_int()
+        w = np.empty(dim)
+        v = np.empty((keep, dim)) if vectors else None
+        support = np.empty(2 * keep, dtype=np.dtype(lapack_int))
+        # Column-major (102) reads the C-ordered symmetric array unchanged and
+        # writes each eigenvector contiguously, as one row of ``v``.
+        info = _SYEVR(
+            102, b"V" if vectors else b"N", b"I", b"L", dim, matrix.ctypes.data, dim,
+            0.0, 0.0, 1, keep, 0.0, ctypes.byref(found), w.ctypes.data,
+            None if v is None else v.ctypes.data, dim, support.ctypes.data,
+        )
+        if info or found.value != keep:
+            raise EigensolverError(
+                f"eigendecomposition failed{where}: dsyevr returned info={info} "
+                f"with {found.value} of {keep} levels"
+            )
+        return (w[:keep], v.T) if vectors else w[:keep]
     try:
-        return np.linalg.eigh(matrix) if vectors else np.linalg.eigvalsh(matrix)
+        if not vectors:
+            return np.linalg.eigvalsh(matrix)[:keep]
+        w, v = np.linalg.eigh(matrix)
+        return w[:keep], v[:, :keep]
     except np.linalg.LinAlgError as exc:
-        where = "" if s is None else f" at s={s}"
         raise EigensolverError(f"eigendecomposition failed{where}: {exc}") from exc
 
 
@@ -216,12 +267,13 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
     weights = np.empty((len(grid), 1 << sched.n))
     with _serial_blas(1 << sched.n):
         for idx, s in enumerate(grid):
-            w, v = _solve(schedule_matrix(sched, s), s)
-            table[idx] = w[:keep]
+            w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
+            table[idx] = w
             weights[idx] = v[:, 0] ** 2
             element[idx] = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
-            # No 2^n x 2^n matrix may outlive the point: at n = 10, keeping the
-            # eigenvectors or a cached dH/ds alive raises the peak RSS by 8%.
+            # No 2^n x 2^n matrix may outlive the point: at n = 10, keeping a
+            # full eigenvector matrix or a cached dH/ds alive raises the peak
+            # RSS by 8%. Above SERIAL_BLAS_MAX_DIM only ``keep`` vectors exist.
             del w, v
     gap = table[:, 1] - table[:, 0]
     return SpectralTrace(grid, table, gap, sched, element, weights)
@@ -246,7 +298,8 @@ def _scanned(trace: SpectralTrace, caller: str) -> ScheduleSpec:
 
 def _check_nondegenerate(trace: SpectralTrace, message: str) -> None:
     """Raise DegenerateLevelsError at the first grid point where E0 and E1 coincide."""
-    hits = np.flatnonzero(trace.gap < DEGENERACY_TOL)
+    scale = np.maximum(1.0, np.abs(trace.levels).max(axis=1))
+    hits = np.flatnonzero(trace.gap < DEGENERACY_TOL * scale)
     if hits.size:
         raise DegenerateLevelsError(message.format(s=trace.grid[hits[0]]))
 
@@ -268,7 +321,7 @@ def _refine(
 
     def ev(x: float) -> float:
         nonlocal best_s, best_g
-        w = _solve(schedule_matrix(sched, x), x, vectors=False)
+        w = _solve(schedule_matrix(sched, x), x, vectors=False, keep=2)
         g = float(w[1] - w[0])
         if g < best_g:
             best_s, best_g = float(x), g

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,12 +30,15 @@ from annealgap import (
     mis_chain,
     overlap_trace,
     qubo_to_ising,
+    save_problem,
     t_approx,
     transform,
 )
 from annealgap import cli, spectral
 from annealgap.cli import _sweep_cell
+from annealgap.operators import derivative_at, schedule_matrix
 from annealgap.spectral import _INV_GOLD
+from conftest import random_ising
 
 SQRT2 = math.sqrt(2.0)
 
@@ -239,8 +243,6 @@ class TestEpsilon:
     def test_two_level_profile_matches_oracle(self):
         # spot-check the underlying matrix element at several s values
         sched = two_level()
-        from annealgap.operators import derivative_at
-
         for s in (0.1, 0.3, 0.5, 0.9):
             w, v = full_spectrum(hamiltonian_at(sched, s))
             element = abs(v[:, 1] @ derivative_at(sched, s).matrix @ v[:, 0])
@@ -524,3 +526,140 @@ class TestThreadIndependence:
         for name in ("levels", "element", "ground_weights"):
             assert np.array_equal(getattr(guarded[0], name), getattr(unguarded[0], name))
         assert guarded[1:] == unguarded[1:]
+
+
+def dense_n9() -> ScheduleSpec:
+    """A seeded random 9-spin problem: dimension 512, above SERIAL_BLAS_MAX_DIM."""
+    return ScheduleSpec(problem=random_ising(np.random.default_rng(9), 9))
+
+
+@pytest.fixture(scope="module")
+def n9_trace():
+    return gap_trace(dense_n9(), 5)
+
+
+@pytest.fixture
+def syevr():
+    if spectral._SYEVR is None:
+        pytest.skip("no bundled LAPACKE dsyevr: every solve takes the numpy path")
+    return spectral._SYEVR
+
+
+class TestLowestLevels:
+    """dsyevr's lowest levels above dimension 256 against numpy's full eigh."""
+
+    S_INTERIOR = (0.25, 0.5, 0.75)
+
+    def test_large_scan_skips_numpy(self, syevr, solve_counts):
+        trace = gap_trace(dense_n9(), 3)
+        refine = min_gap(trace, s_tol=1e-2)
+        assert refine.delta_min <= trace.gap.min()
+        assert solve_counts == {"eigh": 0, "eigvalsh": 0}
+
+    def test_levels_and_gap_match_eigh(self, syevr, n9_trace):
+        sched = n9_trace.schedule
+        for i, s in enumerate(n9_trace.grid):
+            reference = np.linalg.eigvalsh(schedule_matrix(sched, s))
+            assert np.abs(n9_trace.levels[i] - reference[:6]).max() <= 1e-11
+            assert abs(n9_trace.gap[i] - (reference[1] - reference[0])) <= 1e-11
+
+    def test_weights_and_element_match_dense_reference(self, syevr, n9_trace):
+        sched = n9_trace.schedule
+        for s in self.S_INTERIOR:
+            i = int(np.flatnonzero(n9_trace.grid == s)[0])
+            _, v = np.linalg.eigh(hamiltonian_at(sched, s).matrix)
+            element = abs(v[:, 1] @ derivative_at(sched, s).matrix @ v[:, 0])
+            assert np.abs(n9_trace.ground_weights[i] - v[:, 0] ** 2).max() <= 1e-10
+            assert abs(n9_trace.element[i] - element) <= 1e-10
+
+    def test_degenerate_level_vectors_at_s0(self, syevr):
+        sched = dense_n9()
+        h = hamiltonian_at(sched, 0.0).matrix
+        w, v = spectral._solve(schedule_matrix(sched, 0.0), 0.0, keep=6)
+        assert w[2] - w[1] < 1e-12  # E1 of the driver is 9-fold degenerate
+        assert np.abs(h @ v - v * w).max() <= 1e-12
+        assert np.abs(v.T @ v - np.eye(6)).max() <= 1e-12
+
+    def test_all_levels_kept(self, syevr):
+        sched = dense_n9()
+        trace = gap_trace(sched, 2, levels=512)
+        assert trace.levels.shape == (2, 512)
+        for i, s in enumerate(trace.grid):
+            reference = np.linalg.eigvalsh(schedule_matrix(sched, s))
+            assert np.abs(trace.levels[i] - reference).max() <= 1e-11
+
+    def test_read_only_input_left_intact(self, syevr):
+        h = hamiltonian_at(dense_n9(), 0.5).matrix
+        before = h.copy()
+        w = spectral._solve(h, 0.5, vectors=False, keep=2)
+        assert np.array_equal(h, before)
+        assert np.abs(w - np.linalg.eigvalsh(before)[:2]).max() <= 1e-11
+
+
+class TestLapackeHandle:
+    def test_resolves_with_bundled_openblas(self):
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        if not any(libs.glob("*openblas*")):
+            pytest.skip("numpy bundles no OpenBLAS")
+        assert spectral._SYEVR is not None
+
+    def test_numpy_fallback_gives_same_trace(self, syevr, n9_trace, monkeypatch):
+        monkeypatch.setattr(spectral, "_SYEVR", None)
+        fallback = gap_trace(dense_n9(), 5)
+        for name in ("levels", "gap", "ground_weights"):
+            assert np.abs(getattr(n9_trace, name) - getattr(fallback, name)).max() <= 1e-11
+        # At s = 0 E1 is degenerate, so each solver's pick sets its own element.
+        assert np.abs(n9_trace.element[1:] - fallback.element[1:]).max() <= 1e-11
+
+
+class TestLapackeFailure:
+    def test_nan_matrix_names_s(self, syevr):
+        with pytest.raises(EigensolverError, match=r"at s=0\.25: dsyevr returned info=-6"):
+            spectral._solve(np.full((512, 512), np.nan), 0.25, keep=2)
+
+    def test_positive_info(self, syevr, monkeypatch):
+        def fail(*args):
+            assert syevr(*args) == 0  # every level found, then a failure reported
+            return 3
+
+        fail.restype = syevr.restype
+        monkeypatch.setattr(spectral, "_SYEVR", fail)
+        with pytest.raises(EigensolverError, match=r"at s=0\.5: dsyevr returned info=3"):
+            spectral._solve(schedule_matrix(dense_n9(), 0.5), 0.5, keep=6)
+
+    def test_missing_levels(self, syevr, monkeypatch):
+        def none_found(*args):
+            return 0
+
+        none_found.restype = syevr.restype
+        monkeypatch.setattr(spectral, "_SYEVR", none_found)
+        with pytest.raises(EigensolverError, match=r"at s=0\.5: .* 0 of 2 levels"):
+            spectral._solve(schedule_matrix(dense_n9(), 0.5), 0.5, vectors=False, keep=2)
+
+    def test_cli_exit_code(self, syevr, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "n9.json"
+        save_problem(dense_n9().problem, path)
+
+        def nan_hamiltonian(sched, s, derivative=False):
+            return np.full((1 << sched.n,) * 2, np.nan)
+
+        monkeypatch.setattr(spectral, "schedule_matrix", nan_hamiltonian)
+        rc = cli.main(["analyze", "--problem", str(path), "--grid", "3",
+                       "--out", str(tmp_path / "n9_")])
+        assert rc == 3
+        assert "at s=0.0: dsyevr returned info=-6" in capsys.readouterr().err
+        assert not (tmp_path / "n9_report.json").exists()
+
+
+class TestDegeneracyScale:
+    @staticmethod
+    def trace(energy: float) -> SpectralTrace:
+        levels = np.array([[energy, energy + 5e-9], [energy, energy + 1.0]])
+        return SpectralTrace(np.array([0.0, 1.0]), levels, levels[:, 1] - levels[:, 0])
+
+    def test_gap_below_scaled_tolerance_is_degenerate(self):
+        with pytest.raises(DegenerateLevelsError, match=r"s=0\.0"):
+            spectral._check_nondegenerate(self.trace(-1e4), "degenerate at s={s}")
+
+    def test_same_gap_at_unit_scale_is_resolved(self):
+        spectral._check_nondegenerate(self.trace(-1.0), "degenerate at s={s}")
