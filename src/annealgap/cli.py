@@ -16,12 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .eltip import back_map, transform
-from .operators import (
-    LAMBDA_PATHS,
-    NONSTOQUASTIC,
-    STOQUASTIC,
-    ScheduleSpec,
-)
+from .operators import NONSTOQUASTIC, STOQUASTIC, ScheduleSpec
 from .overlaps import overlap_trace
 from .problems import (
     IsingProblem,
@@ -154,19 +149,13 @@ def cmd_backmap(args) -> int:
     return 0
 
 
-def _schedule_for(ising: IsingProblem, driver: str, path_name: str) -> ScheduleSpec:
-    return ScheduleSpec(
-        problem=ising, driver=driver, lambda_path=LAMBDA_PATHS[path_name]
-    )
-
-
 def cmd_analyze(args) -> int:
     problem = load_problem(args.problem)
     ising = _as_ising(problem)
     if args.k is not None:
         ising = transform(ising, args.k)
     driver = DRIVER_TOKENS[args.driver]
-    sched = _schedule_for(ising, driver, args.lambda_path)
+    sched = ScheduleSpec(problem=ising, driver=driver)
     k_max = min(5, (1 << ising.n) - 1)
     trace = gap_trace(sched, args.grid, args.levels)
     report = anticrossing_report(trace, s_tol=args.s_tol)
@@ -211,7 +200,7 @@ def cmd_analyze(args) -> int:
         "problem_form": form_of(problem),
         "k": args.k,
         "driver": driver,
-        "lambda_path": args.lambda_path if driver == NONSTOQUASTIC else None,
+        "lambda_path": "linear" if driver == NONSTOQUASTIC else None,
         "normalizer": ising.n if driver == NONSTOQUASTIC else None,
         "grid": args.grid,
         "s_tol": args.s_tol,
@@ -333,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="gap trace, overlaps, and min-gap report")
     p.add_argument("--problem", required=True, help="input problem file")
     p.add_argument("--driver", default="stoq", choices=sorted(DRIVER_TOKENS))
-    p.add_argument("--lambda-path", default="linear", choices=sorted(LAMBDA_PATHS))
     p.add_argument("--grid", type=_int_at_least(2), default=2001, help="grid points (default 2001)")
     p.add_argument("--s-tol", type=_positive_finite, default=1e-6, help="refinement tolerance")
     p.add_argument(

@@ -1,7 +1,7 @@
 """Dense real-symmetric operators for annealing schedules.
 
 Both drivers are fixed bit-flip patterns: H_B holds 1 at every pair of basis
-indices one spin flip apart, H_AFF 2/N at every pair two flips apart. They
+indices one spin flip apart, H_AFF 2/n at every pair two flips apart. They
 are written at flat index arrays of those pairs rather than built from
 Kronecker products, so every operator is exactly symmetric by construction.
 Basis convention: bit i of index m is 0 for sigma_i = +1. A ``ScheduleSpec``
@@ -13,12 +13,9 @@ allocating.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -98,13 +95,6 @@ def _flip_indices(n: int, flips: int) -> np.ndarray:
     return ((rows << n) + (rows ^ masks)).reshape(-1)
 
 
-def _checked_normalizer(n: int, normalizer: Optional[float]) -> float:
-    norm = float(n if normalizer is None else normalizer)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"normalizer must be positive and finite, got {normalizer}")
-    return norm
-
-
 def transverse_driver(n: int) -> DenseOperator:
     """Sum of single-spin-flip operators: 1 at every Hamming-distance-1 pair."""
     _check_cap(n)
@@ -113,36 +103,18 @@ def transverse_driver(n: int) -> DenseOperator:
     return DenseOperator(n, m)
 
 
-def antiferromagnetic_driver(n: int, normalizer: Optional[float] = None) -> DenseOperator:
-    """Squared mean transverse field with positive sign: (1/N) (sum_i X_i)^2.
+def antiferromagnetic_driver(n: int) -> DenseOperator:
+    """Squared mean transverse field with positive sign: (1/n) (sum_i X_i)^2.
 
-    Expands to (n/N) I plus 2/N at every Hamming-distance-2 pair, which is the
-    two-spin-flip fluctuation term. N defaults to the spin count.
+    Expands to the identity plus 2/n at every Hamming-distance-2 pair, which
+    is the two-spin-flip fluctuation term.
     """
     _check_cap(n)
-    norm = _checked_normalizer(n, normalizer)
     dim = 1 << n
     m = np.zeros((dim, dim))
-    m.reshape(-1)[_flip_indices(n, 2)] = 2.0 / norm
-    m.reshape(-1)[:: dim + 1] = n / norm
+    m.reshape(-1)[_flip_indices(n, 2)] = 2.0 / n
+    m.reshape(-1)[:: dim + 1] = 1.0
     return DenseOperator(n, m)
-
-
-@dataclass(frozen=True)
-class LambdaPath:
-    """Mixing path lambda(s) for the non-stoquastic schedule; must end at 1."""
-
-    name: str
-    value: Callable[[float], float]
-    derivative: Optional[Callable[[float], float]] = None
-
-
-LINEAR_PATH = LambdaPath("linear", lambda s: s, lambda s: 1.0)
-
-#: Paths selectable by name on the command line.
-LAMBDA_PATHS = {LINEAR_PATH.name: LINEAR_PATH}
-
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -150,30 +122,21 @@ class ScheduleSpec:
     """A driver choice bound to a problem; defines H(s) on s in [0, 1].
 
     stoquastic:      H(s) = (1-s) H_B + s H_P
-    nonstoquastic:   H(s) = s [lambda(s) H_P + (1-lambda(s)) H_AFF] + (1-s) H_B
+    nonstoquastic:   H(s) = s [s H_P + (1-s) H_AFF] + (1-s) H_B
 
-    H_B is the transverse driver, H_AFF the antiferromagnetic fluctuation term
-    with aggregate normalizer N (defaults to the spin count; positive and finite).
+    H_B is the transverse driver and H_AFF = (1/n) (sum_i X_i)^2 the
+    antiferromagnetic fluctuation term. The non-stoquastic form is the one of
+    Seki & Nishimori (PRE 85, 051112, 2012) on the path lambda(s) = s with the
+    normalizer N fixed to the spin count n.
     """
 
     problem: IsingProblem
     driver: str = STOQUASTIC
-    lambda_path: LambdaPath = LINEAR_PATH
-    normalizer: Optional[float] = None
 
     def __post_init__(self):
         if self.driver not in (STOQUASTIC, NONSTOQUASTIC):
             raise ValueError(f"unknown driver {self.driver!r}")
         _check_cap(self.problem.n)
-        if self.normalizer is not None:
-            _checked_normalizer(self.problem.n, self.normalizer)
-        if self.driver == NONSTOQUASTIC:
-            end = self.lambda_path.value(1.0)
-            if abs(end - 1.0) > 1e-12:
-                raise ValueError(
-                    f"lambda path {self.lambda_path.name!r} must satisfy "
-                    f"lambda(1)=1, got {end}"
-                )
 
     @property
     def n(self) -> int:
@@ -199,32 +162,18 @@ class ScheduleSpec:
         idx.flags.writeable = False
         return idx
 
-    @cached_property
-    def _aff_norm(self) -> float:
-        return _checked_normalizer(self.n, self.normalizer)
-
-    def _lambda_derivative(self, s: float) -> float:
-        if self.lambda_path.derivative is not None:
-            return self.lambda_path.derivative(s)
-        warnings.warn(
-            f"lambda path {self.lambda_path.name!r} has no derivative; "
-            f"using central difference with step {_FD_STEP}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        value = self.lambda_path.value
-        return (value(s + _FD_STEP) - value(s - _FD_STEP)) / (2.0 * _FD_STEP)
-
 
 def schedule_matrix(sched: ScheduleSpec, s: float, derivative: bool = False) -> np.ndarray:
-    """H(s), or its exact dH/ds (product rule through lambda(s)), as a new array.
+    """H(s), or its exact dH/ds, as a new array.
 
     Each coefficient is written once into a zeroed array: the driver term at the
     one-flip pairs, the H_AFF term at the two-flip pairs and the rest added on
-    the diagonal. Entries equal the whole-matrix form's bit for bit: keep
-    1 - lam - s*lam', since 1 - (lam + s*lam') rounds differently. Adding keeps
-    +0.0 where s*E_m is -0.0; LAPACK's reflectors follow the sign of zero, so
-    the eigenvectors of a degenerate level (E1 at s = 0) depend on it.
+    the diagonal, where H_AFF contributes the identity. With lambda(s) = s the
+    non-stoquastic dH/ds carries lambda + s lambda' = 2s on H_P and 1 - 2s on
+    H_AFF. Entries equal the whole-matrix form's bit for bit: keep 1 - s - s,
+    since 1 - (s + s) rounds differently. Adding keeps +0.0 where s*E_m is
+    -0.0; LAPACK's reflectors follow the sign of zero, so the eigenvectors of
+    a degenerate level (E1 at s = 0) depend on it.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"schedule parameter s={s} outside [0, 1]")
@@ -236,14 +185,10 @@ def schedule_matrix(sched: ScheduleSpec, s: float, derivative: bool = False) -> 
     if sched.driver == STOQUASTIC:
         flat[:: dim + 1] += outer * sched.problem_diagonal
         return m
-    lam = sched.lambda_path.value(s)
-    s_dlam = s * sched._lambda_derivative(s) if derivative else 0.0
-    fluctuation = 1.0 - lam - s_dlam
-    norm = sched._aff_norm
-    flat[sched.two_flip_indices] = outer * (fluctuation * (2.0 / norm))
-    flat[:: dim + 1] += outer * (
-        fluctuation * (sched.n / norm) + (lam + s_dlam) * sched.problem_diagonal
-    )
+    s_dlam = s if derivative else 0.0
+    fluctuation = 1.0 - s - s_dlam
+    flat[sched.two_flip_indices] = outer * (fluctuation * (2.0 / sched.n))
+    flat[:: dim + 1] += outer * (fluctuation + (s + s_dlam) * sched.problem_diagonal)
     return m
 
 
@@ -253,5 +198,5 @@ def hamiltonian_at(sched: ScheduleSpec, s: float) -> DenseOperator:
 
 
 def derivative_at(sched: ScheduleSpec, s: float) -> DenseOperator:
-    """Exact dH/ds of the schedule (product rule through lambda(s))."""
+    """Exact dH/ds of the schedule."""
     return DenseOperator(sched.n, schedule_matrix(sched, s, derivative=True))

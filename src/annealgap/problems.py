@@ -66,8 +66,11 @@ def _check_linear(n: int, values: Iterable[float], what: str) -> tuple[float, ..
 
 
 def _finite(value: float, what: str) -> float:
-    """``value`` as a float; NaN and infinities are rejected, naming the field."""
-    x = float(value)
+    """``value`` as a float; non-numbers, NaN and infinities are rejected, naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ProblemFormatError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(x):
         raise ProblemFormatError(f"{what} must be finite, got {x}")
     return x
@@ -294,7 +297,7 @@ def load_problem(path):
             raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
         form = doc["form"]
-        n = int(doc["n"])
+        n = doc["n"]
         entries = doc["quadratic"]
         linear = doc["linear"]
         offset = float(doc.get("offset", 0.0))
@@ -302,21 +305,27 @@ def load_problem(path):
         raise ProblemFormatError(f"{path}: missing or malformed field ({exc})") from exc
     if form not in _FORM_TAGS:
         raise ProblemFormatError(f"{path}: unknown form tag {form!r}")
+    if type(n) is not int or n < 1:  # a JSON integer; bools and floats are refused
+        raise ProblemFormatError(f"{path}: n must be a positive integer, got {n!r}")
+    if not isinstance(linear, list) or len(linear) != n:
+        raise ProblemFormatError(f"{path}: linear must be a list of n={n} numbers")
+    if not isinstance(entries, list):
+        raise ProblemFormatError(f"{path}: quadratic must be a list of [i, j, value] entries")
     quad: dict[tuple[int, int], float] = {}
-    seen: set[tuple[int, int]] = set()
     for entry in entries:
         try:
             i, j, value = entry
+            if type(i) is not int or type(j) is not int:
+                raise TypeError
+            value = float(value)
         except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"{path}: bad quadratic entry {entry!r}") from exc
-        key = (int(i), int(j))
-        unordered = (min(key), max(key))
-        if key[0] != key[1] and unordered in seen:
             raise ProblemFormatError(
-                f"{path}: duplicate quadratic entry for pair {unordered}"
-            )
-        seen.add(unordered)
-        quad[key] = float(value)
+                f"{path}: bad quadratic entry {entry!r}; expected [i, j, value] "
+                "with integer indices and a numeric value"
+            ) from exc
+        if (i, j) in quad:  # a reversed repeat is caught when the problem is built
+            raise ProblemFormatError(f"{path}: duplicate quadratic entry for pair {(i, j)}")
+        quad[(i, j)] = value
     try:
         if form == "qubo":
             return QuboProblem(n=n, Q=quad, b=linear, offset=offset)

@@ -32,7 +32,7 @@ import math
 import threading
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -189,15 +189,17 @@ def full_spectrum(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SpectralTrace:
-    """Lowest levels and the E1-E0 gap on an ascending grid of s values.
+    """Lowest levels on an ascending grid of s values.
 
-    A scanned trace also holds, per point, |<E1| dH/ds |E0>| (``element``) and
-    the squared ground-state amplitudes (``ground_weights``, 2^n per row).
+    ``gap`` is E1 - E0 per point, ``levels[:, 1] - levels[:, 0]``, computed
+    once at construction. A scanned trace also holds, per point,
+    |<E1| dH/ds |E0>| (``element``) and the squared ground-state amplitudes
+    (``ground_weights``, 2^n per row).
     """
 
     grid: np.ndarray
     levels: np.ndarray
-    gap: np.ndarray
+    gap: np.ndarray = field(init=False)
     schedule: Optional[ScheduleSpec] = None
     element: Optional[np.ndarray] = None
     ground_weights: Optional[np.ndarray] = None
@@ -205,20 +207,17 @@ class SpectralTrace:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         levels = np.asarray(self.levels, dtype=float)
-        gap = np.asarray(self.gap, dtype=float)
         if grid.ndim != 1 or len(grid) < 2:
             raise ValueError("trace grid must hold at least two points")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("trace grid must be strictly ascending")
-        if levels.shape[0] != len(grid) or levels.shape[1] < 2:
+        if levels.ndim != 2 or levels.shape[0] != len(grid) or levels.shape[1] < 2:
             raise ValueError("levels must have one row per grid point and >= 2 columns")
         if np.any(np.diff(levels, axis=1) < 0):
             raise ValueError("levels must be ascending at every grid point")
-        if np.any(gap < 0):
-            raise ValueError("gap must be nonnegative")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "gap", levels[:, 1] - levels[:, 0])
 
 
 class MinGapResult(NamedTuple):
@@ -275,8 +274,7 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
             # full eigenvector matrix or a cached dH/ds alive raises the peak
             # RSS by 8%. Above SERIAL_BLAS_MAX_DIM only ``keep`` vectors exist.
             del w, v
-    gap = table[:, 1] - table[:, 0]
-    return SpectralTrace(grid, table, gap, sched, element, weights)
+    return SpectralTrace(grid, table, sched, element, weights)
 
 
 def gap_trace(

@@ -180,6 +180,15 @@ class TestAnalyze:
         assert "symmetric" not in err
         assert not (tmp_path / "nan_report.json").exists()
 
+    def test_short_linear_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps({"form": "ising", "n": 3, "quadratic": [], "linear": []}))
+        rc = main(["analyze", "--problem", str(bad), "--grid", "11",
+                   "--out", str(tmp_path / "short_")])
+        assert rc == 2
+        assert f"{bad}: linear must be a list of n=3 numbers" in capsys.readouterr().err
+        assert not (tmp_path / "short_report.json").exists()
+
     @pytest.mark.parametrize("s_tol", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_is_input_error(self, tmp_path, chain_file, capsys, monkeypatch, s_tol):
         monkeypatch.setattr(cli, "gap_trace", _no_scan)

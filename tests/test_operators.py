@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from annealgap import (
     DenseOperator,
     IsingProblem,
-    LINEAR_PATH,
-    LambdaPath,
     MisChainSpec,
     NONSTOQUASTIC,
     STOQUASTIC,
@@ -51,9 +49,8 @@ def dense_reference(sched: ScheduleSpec, s: float) -> tuple[np.ndarray, np.ndarr
     hb = transverse_driver(sched.n).matrix
     if sched.driver == STOQUASTIC:
         return (1.0 - s) * hb + s * hp, hp - hb
-    aff = antiferromagnetic_driver(sched.n, sched.normalizer).matrix
-    lam = sched.lambda_path.value(s)
-    dlam = sched.lambda_path.derivative(s)
+    aff = antiferromagnetic_driver(sched.n).matrix
+    lam, dlam = s, 1.0
     coeff_p = lam + s * dlam
     coeff_a = 1.0 - lam - s * dlam
     hamiltonian = s * (lam * hp + (1.0 - lam) * aff) + (1.0 - s) * hb
@@ -134,12 +131,12 @@ class TestTransverseDriver:
 
 class TestAntiferromagneticDriver:
     def test_single_spin_is_identity(self):
-        assert np.array_equal(antiferromagnetic_driver(1, 1).matrix, np.eye(2))
+        assert np.array_equal(antiferromagnetic_driver(1).matrix, np.eye(2))
 
     def test_two_spin_expansion(self):
         expected = np.eye(4) + np.kron(PAULI_X, PAULI_X)
-        assert np.array_equal(antiferromagnetic_driver(2, 2).matrix, expected)
-        w = np.linalg.eigvalsh(antiferromagnetic_driver(2, 2).matrix)
+        assert np.array_equal(antiferromagnetic_driver(2).matrix, expected)
+        w = np.linalg.eigvalsh(antiferromagnetic_driver(2).matrix)
         assert np.allclose(w, [0.0, 0.0, 2.0, 2.0], atol=1e-12)
 
     def test_five_spin_spectrum(self):
@@ -147,22 +144,8 @@ class TestAntiferromagneticDriver:
         expected = sorted(
             (5 - 2 * w) ** 2 / 5.0 for w in range(6) for _ in range(comb(5, w))
         )
-        got = np.linalg.eigvalsh(antiferromagnetic_driver(5, 5).matrix)
+        got = np.linalg.eigvalsh(antiferromagnetic_driver(5).matrix)
         assert np.allclose(got, expected, atol=1e-9)
-
-    def test_default_normalizer_is_spin_count(self):
-        assert np.array_equal(
-            antiferromagnetic_driver(3).matrix, antiferromagnetic_driver(3, 3).matrix
-        )
-
-    def test_bad_normalizer(self):
-        with pytest.raises(ValueError, match="normalizer"):
-            antiferromagnetic_driver(2, 0.0)
-
-    @pytest.mark.parametrize("normalizer", [-1.0, float("nan"), float("inf")])
-    def test_normalizer_must_be_positive_and_finite(self, normalizer):
-        with pytest.raises(ValueError, match="normalizer must be positive and finite"):
-            antiferromagnetic_driver(2, normalizer)
 
 
 class TestHamiltonianAt:
@@ -228,32 +211,16 @@ class TestDerivativeAt:
             err = np.abs(derivative_at(sched, s).matrix - fd).max()
             assert err <= 1e-6
 
-    def test_underivable_path_warns_and_falls_back(self):
-        quadratic = LambdaPath("quadratic", lambda s: s * s)
-        analytic = LambdaPath("quadratic", lambda s: s * s, lambda s: 2 * s)
-        problem = IsingProblem(n=2, J={(0, 1): 1.0}, h=(0.5, -0.5))
-        fallback = ScheduleSpec(problem=problem, driver=NONSTOQUASTIC, lambda_path=quadratic)
-        exact = ScheduleSpec(problem=problem, driver=NONSTOQUASTIC, lambda_path=analytic)
-        with pytest.warns(RuntimeWarning, match="central difference"):
-            got = derivative_at(fallback, 0.3).matrix
-        assert np.allclose(got, derivative_at(exact, 0.3).matrix, atol=1e-6)
-
 
 class TestDenseReferenceProperty:
     @settings(max_examples=500, deadline=None)
     @given(
         problem=ising_problems(),
         driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
-        path=st.sampled_from(
-            [LINEAR_PATH, LambdaPath("quadratic", lambda s: s * s, lambda s: 2 * s)]
-        ),
-        normalizer=st.one_of(st.none(), st.floats(0.5, 10.0)),
         s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     )
-    def test_schedule_matches_dense_reference(self, problem, driver, path, normalizer, s):
-        sched = ScheduleSpec(
-            problem=problem, driver=driver, lambda_path=path, normalizer=normalizer
-        )
+    def test_schedule_matches_dense_reference(self, problem, driver, s):
+        sched = ScheduleSpec(problem=problem, driver=driver)
         hamiltonian, derivative = dense_reference(sched, s)
         assert np.array_equal(hamiltonian_at(sched, s).matrix, hamiltonian)
         assert np.array_equal(derivative_at(sched, s).matrix, derivative)
@@ -264,28 +231,9 @@ class TestScheduleSpec:
         with pytest.raises(ValueError, match="driver"):
             ScheduleSpec(problem=IsingProblem(n=1, J={}, h=(1.0,)), driver="diabatic")
 
-    def test_lambda_path_must_end_at_one(self):
-        half = LambdaPath("half", lambda s: s / 2)
-        with pytest.raises(ValueError, match="lambda"):
-            ScheduleSpec(
-                problem=IsingProblem(n=1, J={}, h=(1.0,)),
-                driver=NONSTOQUASTIC,
-                lambda_path=half,
-            )
-
     def test_cap_applies_to_schedule(self):
         with pytest.raises(ValueError, match="at most 14"):
             ScheduleSpec(problem=IsingProblem(n=15, J={}, h=(0,) * 15))
-
-    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
-    @pytest.mark.parametrize("normalizer", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_normalizer_rejected_at_construction(self, driver, normalizer):
-        with pytest.raises(ValueError, match="normalizer must be positive and finite"):
-            ScheduleSpec(
-                problem=IsingProblem(n=2, J={}, h=(1.0, 0.5)),
-                driver=driver,
-                normalizer=normalizer,
-            )
 
     def test_index_arrays_cached_and_reused(self):
         sched = ScheduleSpec(problem=IsingProblem(n=3, J={}, h=(1.0, 0.5, -0.5)),

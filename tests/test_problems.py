@@ -303,6 +303,32 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match="form"):
             load_problem(path)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param({"n": 2.9}, "n must be a positive integer, got 2.9", id="n-float"),
+            pytest.param({"n": True}, "n must be a positive integer, got True", id="n-bool"),
+            pytest.param({"n": "3"}, "n must be a positive integer, got '3'", id="n-string"),
+            pytest.param({"n": 0, "linear": []}, "n must be a positive integer", id="n-zero"),
+            pytest.param({"linear": []}, "linear must be a list of n=3 numbers", id="linear-empty"),
+            pytest.param({"linear": [0, 0]}, "linear must be a list of n=3", id="linear-short"),
+            pytest.param({"linear": {"0": 1}}, "linear must be a list", id="linear-dict"),
+            pytest.param({"linear": ["x", 0, 0]}, r"h\[0\] must be a number", id="linear-text"),
+            pytest.param({"quadratic": 5}, "quadratic must be a list", id="quadratic-int"),
+            pytest.param({"quadratic": [[0, 1, "x"]]}, r"entry \[0, 1, 'x'\]", id="value-text"),
+            pytest.param({"quadratic": [[0, 1.5, 1.0]]}, r"entry \[0, 1.5, 1.0\]", id="index-float"),
+            pytest.param({"quadratic": [[0, None, 1]]}, r"entry \[0, None, 1\]", id="index-null"),
+            pytest.param({"quadratic": [[0, 1]]}, r"bad quadratic entry \[0, 1\]", id="short-entry"),
+        ],
+    )
+    def test_malformed_field_names_the_file(self, tmp_path, change, message):
+        path = tmp_path / "bad.json"
+        doc = {"form": "ising", "n": 3, "quadratic": [[0, 1, 1.0]], "linear": [0, 0, 0]}
+        self._write(path, {**doc, **change})
+        with pytest.raises(ProblemFormatError, match=message) as excinfo:
+            load_problem(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_reversed_single_key_accepted(self, tmp_path):
         path = tmp_path / "ok.json"
         self._write(

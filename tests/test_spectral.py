@@ -118,6 +118,25 @@ class TestGapTrace:
         assert np.all(np.diff(trace.levels, axis=1) >= 0)
         assert np.all(trace.gap >= 0)
 
+    def test_gap_is_difference_of_lowest_levels(self):
+        trace = gap_trace(chain_schedule(0.04), 201)
+        assert np.array_equal(trace.gap, trace.levels[:, 1] - trace.levels[:, 0])
+
+    @pytest.mark.parametrize(
+        "grid, levels, message",
+        [
+            pytest.param([0.0], [[0.0, 1.0]], "at least two points", id="one-point"),
+            pytest.param([0.0, 0.0], [[0.0, 1.0]] * 2, "strictly ascending", id="repeated-s"),
+            pytest.param([0.0, 1.0], [0.0, 1.0], "one row per grid point", id="1d-levels"),
+            pytest.param([0.0, 1.0], [[0.0]] * 2, ">= 2 columns", id="one-level"),
+            pytest.param([0.0, 1.0], [[0.0, 1.0]] * 3, "one row per grid point", id="extra-row"),
+            pytest.param([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], "ascending at every", id="unsorted"),
+        ],
+    )
+    def test_invalid_trace_rejected(self, grid, levels, message):
+        with pytest.raises(ValueError, match=message):
+            SpectralTrace(np.array(grid), np.array(levels))
+
     def test_transform_preserves_final_levels_only(self):
         base = gap_trace(chain_schedule(0.04), 41)
         moved = gap_trace(chain_schedule(0.04, pivot=0), 41)
@@ -195,7 +214,7 @@ class TestDetectAnticrossing:
     def test_monotone_trace_empty(self):
         grid = np.linspace(0, 1, 50)
         levels = np.column_stack([-grid, 2.0 - 2.0 * grid])
-        trace = SpectralTrace(grid, levels, levels[:, 1] - levels[:, 0])
+        trace = SpectralTrace(grid, levels)
         assert detect_anticrossing(trace) == []
 
     def test_chain_has_exactly_one(self):
@@ -214,14 +233,14 @@ class TestDetectAnticrossing:
         grid = np.linspace(0, 1, 101)
         gap = 2.0 - 1.5 * grid - 0.05 * np.exp(-((grid - 0.4) ** 2) / 0.001)
         levels = np.column_stack([np.zeros_like(grid), gap])
-        trace = SpectralTrace(grid, levels, gap)
+        trace = SpectralTrace(grid, levels)
         assert detect_anticrossing(trace) == []
 
     def test_significant_dip_detected_without_schedule(self):
         grid = np.linspace(0, 1, 101)
         gap = 1.0 - 0.9 * np.exp(-((grid - 0.6) ** 2) / 0.01)
         levels = np.column_stack([np.zeros_like(grid), gap])
-        trace = SpectralTrace(grid, levels, gap)
+        trace = SpectralTrace(grid, levels)
         found = detect_anticrossing(trace)
         assert len(found) == 1
         assert found[0].s == pytest.approx(0.6, abs=0.01)
@@ -269,7 +288,7 @@ class TestEpsilon:
     def test_hand_built_trace_rejected(self):
         grid = np.linspace(0, 1, 11)
         levels = np.column_stack([-grid, 2.0 - grid])
-        trace = SpectralTrace(grid, levels, levels[:, 1] - levels[:, 0])
+        trace = SpectralTrace(grid, levels)
         with pytest.raises(ValueError, match="epsilon needs a trace scanned by gap_trace"):
             epsilon(trace)
         with pytest.raises(ValueError, match="overlap_trace needs a trace scanned"):
@@ -311,7 +330,7 @@ class TestFitHyperbola:
         half = 0.5 * np.sqrt(delta**2 + a_true**2 * x**2)
         lower = center + b_true * x - half
         upper = center + b_true * x + half
-        trace = SpectralTrace(grid, np.column_stack([lower, upper]), upper - lower)
+        trace = SpectralTrace(grid, np.column_stack([lower, upper]))
         fit = fit_hyperbola(trace, 0.5, delta, window=0.1)
         assert fit.a == pytest.approx(a_true, abs=1e-6)
         assert fit.b == pytest.approx(b_true, abs=1e-6)
@@ -655,7 +674,7 @@ class TestDegeneracyScale:
     @staticmethod
     def trace(energy: float) -> SpectralTrace:
         levels = np.array([[energy, energy + 5e-9], [energy, energy + 1.0]])
-        return SpectralTrace(np.array([0.0, 1.0]), levels, levels[:, 1] - levels[:, 0])
+        return SpectralTrace(np.array([0.0, 1.0]), levels)
 
     def test_gap_below_scaled_tolerance_is_degenerate(self):
         with pytest.raises(DegenerateLevelsError, match=r"s=0\.0"):
