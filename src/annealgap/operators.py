@@ -6,7 +6,8 @@ are written at flat index arrays of those pairs rather than built from
 Kronecker products, so every operator is exactly symmetric by construction.
 Basis convention: bit i of index m is 0 for sigma_i = +1. A ``ScheduleSpec``
 caches H_P as its diagonal vector next to the flip-pair indices;
-``schedule_matrix`` fills one zeroed array with H(s) or dH/ds from them.
+``schedule_matrix`` fills one zeroed array with H(s) or dH/ds from them, or
+a stack of such arrays for a block of s.
 Dense storage is capped at 14 spins (16384 x 16384), checked before
 allocating.
 """
@@ -163,8 +164,10 @@ class ScheduleSpec:
         return idx
 
 
-def schedule_matrix(sched: ScheduleSpec, s: float, derivative: bool = False) -> np.ndarray:
-    """H(s), or its exact dH/ds, as a new array.
+def schedule_matrix(
+    sched: ScheduleSpec, s: float | np.ndarray, derivative: bool = False
+) -> np.ndarray:
+    """H(s), or its exact dH/ds, as a new array; a stack of them for a 1-D array of s.
 
     Each coefficient is written once into a zeroed array: the driver term at the
     one-flip pairs, the H_AFF term at the two-flip pairs and the rest added on
@@ -173,22 +176,26 @@ def schedule_matrix(sched: ScheduleSpec, s: float, derivative: bool = False) -> 
     H_AFF. Entries equal the whole-matrix form's bit for bit: keep 1 - s - s,
     since 1 - (s + s) rounds differently. Adding keeps +0.0 where s*E_m is
     -0.0; LAPACK's reflectors follow the sign of zero, so the eigenvectors of
-    a degenerate level (E1 at s = 0) depend on it.
+    a degenerate level (E1 at s = 0) depend on it. The expressions are
+    element-wise in s, so each matrix of a stack equals the call at its s.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"schedule parameter s={s} outside [0, 1]")
-    outer, driver = (1.0, -1.0) if derivative else (s, 1.0 - s)
+    s = np.asarray(s, dtype=float)
+    outside = s[~((0.0 <= s) & (s <= 1.0))]
+    if outside.size:
+        raise ValueError(f"schedule parameter s={outside[0]} outside [0, 1]")
+    col = s[..., None]  # broadcasts each s along its matrix's entries
+    outer, driver = (1.0, -1.0) if derivative else (col, 1.0 - col)
     dim = 1 << sched.n
-    m = np.zeros((dim, dim))
-    flat = m.reshape(-1)
-    flat[sched.one_flip_indices] = driver
+    m = np.zeros(s.shape + (dim, dim))
+    flat = m.reshape(s.shape + (-1,))
+    flat[..., sched.one_flip_indices] = driver
     if sched.driver == STOQUASTIC:
-        flat[:: dim + 1] += outer * sched.problem_diagonal
+        flat[..., :: dim + 1] += outer * sched.problem_diagonal
         return m
-    s_dlam = s if derivative else 0.0
-    fluctuation = 1.0 - s - s_dlam
-    flat[sched.two_flip_indices] = outer * (fluctuation * (2.0 / sched.n))
-    flat[:: dim + 1] += outer * (fluctuation + (s + s_dlam) * sched.problem_diagonal)
+    s_dlam = col if derivative else 0.0
+    fluctuation = 1.0 - col - s_dlam
+    flat[..., sched.two_flip_indices] = outer * (fluctuation * (2.0 / sched.n))
+    flat[..., :: dim + 1] += outer * (fluctuation + (col + s_dlam) * sched.problem_diagonal)
     return m
 
 

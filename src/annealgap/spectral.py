@@ -20,17 +20,22 @@ untouched.
 Scans and refinements of matrices up to ``SERIAL_BLAS_MAX_DIM`` run on one
 OpenBLAS thread, where a second thread only spins, and then restore the
 library's thread count; they solve the whole spectrum with numpy's ``eigh``
-or ``eigvalsh``. Larger matrices use the library's count and LAPACK's
-``dsyevr`` from the OpenBLAS numpy bundles, which computes only the levels
-kept, several times faster; without that library numpy solves them too.
+or ``eigvalsh``. Such a scan solves blocks of grid points as stacks, one
+contiguous run of blocks per usable core, and its results equal those of one
+solve per point bit for bit. Larger matrices are scanned point by point with
+the library's count and LAPACK's ``dsyevr`` from the OpenBLAS numpy bundles,
+which computes only the levels kept, several times faster; without that
+library numpy solves them too.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +56,12 @@ DEFAULT_UNDERCUT = 0.01
 #: Largest matrix dimension solved on one OpenBLAS thread. Measured on two
 #: cores: one thread is faster up to 256, two threads from 512 upward.
 SERIAL_BLAS_MAX_DIM = 256
+
+#: Bytes of stacked H(s) per block of a scan up to SERIAL_BLAS_MAX_DIM:
+#: 32 points at dimension 32, 2 at 128, 1 at 256. Measured on the 5-spin
+#: chain sweep on two cores: 128 KiB took 10% more CPU time, 512 KiB 1 MB
+#: more peak RSS.
+SCAN_BLOCK_BYTES = 256 << 10
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -144,12 +155,15 @@ def _solve(
     """The ``keep`` lowest levels (all when None), with eigenvectors as columns.
 
     Above ``SERIAL_BLAS_MAX_DIM`` LAPACK's dsyevr computes only the requested
-    levels, overwriting ``matrix``; otherwise ``eigh`` or ``eigvalsh`` solves
-    the whole spectrum. Any LAPACK failure raises EigensolverError naming s.
+    levels of one matrix, overwriting ``matrix``; otherwise ``eigh`` or
+    ``eigvalsh`` solves the whole spectrum of a matrix or of a (B, dim, dim)
+    stack, one result per matrix. Any LAPACK failure raises EigensolverError
+    naming s.
     """
     where = "" if s is None else f" at s={s}"
-    dim = matrix.shape[0]
-    if keep is not None and _SYEVR is not None and dim > SERIAL_BLAS_MAX_DIM:
+    dim = matrix.shape[-1]
+    one_large = matrix.ndim == 2 and dim > SERIAL_BLAS_MAX_DIM
+    if keep is not None and _SYEVR is not None and one_large:
         matrix = np.require(matrix, np.float64, ["C", "W"])  # copies only a read-only input
         lapack_int = _SYEVR.restype
         found = lapack_int()
@@ -171,9 +185,9 @@ def _solve(
         return (w[:keep], v.T) if vectors else w[:keep]
     try:
         if not vectors:
-            return np.linalg.eigvalsh(matrix)[:keep]
+            return np.linalg.eigvalsh(matrix)[..., :keep]
         w, v = np.linalg.eigh(matrix)
-        return w[:keep], v[:, :keep]
+        return w[..., :keep], v[..., :keep]
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed{where}: {exc}") from exc
 
@@ -259,21 +273,68 @@ class AntiCrossingReport:
     hyperbola: Optional[HyperbolaFit] = None
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
+    """Levels, |<E1| dH/ds |E0>| and ground weights at one s or a 1-D block of s.
+
+    A block is assembled and solved as one stack. When its solve fails, the
+    block is solved again point by point, so the EigensolverError names the
+    first failing s. Nothing 2^n x 2^n outlives the call: at n = 10, keeping
+    a full eigenvector matrix or a dH/ds alive raises the peak RSS by 8%.
+    """
+    try:
+        w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
+    except EigensolverError:
+        for point in np.atleast_1d(s):
+            _solve(schedule_matrix(sched, point), point, keep=keep)
+        raise
+    v0, v1 = v[..., 0], v[..., 1]
+    dh = schedule_matrix(sched, s, derivative=True)
+    element = np.abs(v1[..., None, :] @ dh @ v0[..., None])[..., 0, 0]
+    return w, element, v0 ** 2
+
+
 def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
-    """One eigendecomposition of H(s) per grid point, keeping ``keep`` levels."""
+    """One eigendecomposition of H(s) per grid point, keeping ``keep`` levels.
+
+    Up to ``SERIAL_BLAS_MAX_DIM`` the grid is cut into blocks whose stacked
+    H(s) fill ``SCAN_BLOCK_BYTES``, and the blocks into one contiguous run per
+    usable core: the calling thread takes the first run and pool threads the
+    rest, all on one OpenBLAS thread. numpy releases the GIL inside a stacked
+    solve, so the runs overlap. Larger matrices are solved one point at a
+    time on the calling thread, where dsyevr and the library's own BLAS
+    threads do the work. The results do not depend on the number of threads.
+    """
+    dim = 1 << sched.n
+    blocked = dim <= SERIAL_BLAS_MAX_DIM
+    size = max(1, SCAN_BLOCK_BYTES // (8 * dim * dim)) if blocked else 1
+    starts = range(0, len(grid), size)
+    workers = min(_usable_cores(), len(starts)) if blocked else 1
+    runs = [starts[i * len(starts) // workers:(i + 1) * len(starts) // workers]
+            for i in range(workers)]
     table = np.empty((len(grid), keep))
     element = np.empty(len(grid))
-    weights = np.empty((len(grid), 1 << sched.n))
-    with _serial_blas(1 << sched.n):
-        for idx, s in enumerate(grid):
-            w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
-            table[idx] = w
-            weights[idx] = v[:, 0] ** 2
-            element[idx] = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
-            # No 2^n x 2^n matrix may outlive the point: at n = 10, keeping a
-            # full eigenvector matrix or a cached dH/ds alive raises the peak
-            # RSS by 8%. Above SERIAL_BLAS_MAX_DIM only ``keep`` vectors exist.
-            del w, v
+    weights = np.empty((len(grid), dim))
+
+    def run(part: range) -> None:
+        for start in part:
+            points = slice(start, start + size)
+            s = grid[points] if size > 1 else grid[start]
+            table[points], element[points], weights[points] = _solve_points(sched, s, keep)
+
+    # With one run the pool stays empty: an executor starts threads on submit.
+    with _serial_blas(dim), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        later = [pool.submit(run, part) for part in runs[1:]]
+        run(runs[0])
+        # Read in grid order, so a failure reports the first failing s.
+        for future in later:
+            future.result()
     return SpectralTrace(grid, table, sched, element, weights)
 
 

@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from annealgap import IsingProblem, QuboProblem
 
@@ -102,6 +103,16 @@ def random_ising(rng: np.random.Generator, n: int, density: float = 0.7) -> Isin
                 couplings[(i, j)] = float(rng.uniform(-2.0, 2.0))
     fields = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=n))
     return IsingProblem(n=n, J=couplings, h=fields, offset=float(rng.uniform(-3.0, 3.0)))
+
+
+@st.composite
+def ising_problems(draw, max_n: int = 6) -> IsingProblem:
+    n = draw(st.integers(1, max_n))
+    coefficient = st.floats(-3.0, 3.0)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    couplings = draw(st.dictionaries(st.sampled_from(pairs), coefficient)) if pairs else {}
+    fields = tuple(draw(st.lists(coefficient, min_size=n, max_size=n)))
+    return IsingProblem(n=n, J=couplings, h=fields, offset=draw(coefficient))
 
 
 def random_qubo(rng: np.random.Generator, n: int, density: float = 0.7) -> QuboProblem:

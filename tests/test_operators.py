@@ -1,5 +1,6 @@
 """Dense operator construction and the schedule Hamiltonian with its derivative."""
 
+import math
 import tracemalloc
 from math import comb
 
@@ -24,23 +25,13 @@ from annealgap import (
     transverse_driver,
 )
 from annealgap.operators import schedule_matrix
-from conftest import ROW_ISING, random_ising
+from conftest import ROW_ISING, ising_problems, random_ising
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def two_level() -> ScheduleSpec:
     return ScheduleSpec(problem=IsingProblem(n=1, J={}, h=(1.0,)))
-
-
-@st.composite
-def ising_problems(draw, max_n: int = 6) -> IsingProblem:
-    n = draw(st.integers(1, max_n))
-    coefficient = st.floats(-3.0, 3.0)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    couplings = draw(st.dictionaries(st.sampled_from(pairs), coefficient)) if pairs else {}
-    fields = tuple(draw(st.lists(coefficient, min_size=n, max_size=n)))
-    return IsingProblem(n=n, J=couplings, h=fields, offset=draw(coefficient))
 
 
 def dense_reference(sched: ScheduleSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,6 +215,49 @@ class TestDenseReferenceProperty:
         hamiltonian, derivative = dense_reference(sched, s)
         assert np.array_equal(hamiltonian_at(sched, s).matrix, hamiltonian)
         assert np.array_equal(derivative_at(sched, s).matrix, derivative)
+
+
+class TestScheduleMatrixStack:
+    """``schedule_matrix`` on a 1-D array of s against the call at each s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        problem=ising_problems(),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        interior=st.lists(st.floats(0.0, 1.0), max_size=20),
+        derivative=st.booleans(),
+    )
+    def test_each_matrix_equals_the_scalar_call(self, problem, driver, interior, derivative):
+        sched = ScheduleSpec(problem=problem, driver=driver)
+        s = np.array([0.0, *interior, 1.0])
+        stack = schedule_matrix(sched, s, derivative=derivative)
+        assert stack.shape == (len(s), 1 << problem.n, 1 << problem.n)
+        for point, matrix in zip(s, stack):
+            # Bytes, not values: the sign of a zero entry steers LAPACK.
+            single = schedule_matrix(sched, float(point), derivative=derivative)
+            assert matrix.tobytes() == single.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        inside=st.lists(st.floats(0.0, 1.0), max_size=5),
+        position=st.integers(0, 5),
+        outside=st.one_of(
+            st.floats(max_value=-math.ulp(0.0)),  # below zero, -0.0 excluded
+            st.floats(min_value=1.0, exclude_min=True),
+            st.just(float("nan")),
+        ),
+        derivative=st.booleans(),
+    )
+    def test_any_s_outside_the_schedule_rejected(
+        self, driver, inside, position, outside, derivative
+    ):
+        sched = ScheduleSpec(problem=IsingProblem(n=2, J={(0, 1): 1.0}, h=(0.5, -0.5)),
+                             driver=driver)
+        inside.insert(min(position, len(inside)), outside)
+        for s in (outside, np.array(inside)):
+            with pytest.raises(ValueError, match="outside"):
+                schedule_matrix(sched, s, derivative=derivative)
 
 
 class TestScheduleSpec:

@@ -1,12 +1,15 @@
 """Spectral engine: eigensolver contract, traces, min-gap, detection, fits."""
 
 import math
+import re
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from annealgap import (
     DegenerateLevelsError,
@@ -38,7 +41,7 @@ from annealgap import cli, spectral
 from annealgap.cli import _sweep_cell
 from annealgap.operators import derivative_at, schedule_matrix
 from annealgap.spectral import _INV_GOLD
-from conftest import random_ising
+from conftest import ising_problems, random_ising
 
 SQRT2 = math.sqrt(2.0)
 
@@ -381,16 +384,24 @@ class TestAntiCrossingReport:
         assert report.t_approx == pytest.approx(report.delta_min**-2, rel=1e-12)
 
 
+def matrices(a) -> int:
+    """Matrices in one matrix or in a stack of them."""
+    return math.prod(np.shape(a)[:-2])
+
+
 @pytest.fixture
 def solve_counts(monkeypatch):
-    """Calls to numpy's dense symmetric eigensolvers while the test runs."""
+    """Matrices diagonalized by numpy's dense symmetric eigensolvers while the test runs.
+
+    A stacked call counts each matrix of the stack.
+    """
     counts = {"eigh": 0, "eigvalsh": 0}
     for name in counts:
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            counts[_name] += matrices(a)
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
@@ -441,7 +452,7 @@ def random_schedule(n: int) -> ScheduleSpec:
 
 @pytest.fixture
 def blas_threads(monkeypatch):
-    """(startup count, counts seen by each solve) for numpy's bundled OpenBLAS."""
+    """(startup count, count seen by each matrix solved) for numpy's bundled OpenBLAS."""
     if spectral._BLAS is None:
         pytest.skip("no bundled OpenBLAS handle: the thread guard is a no-op")
     startup = spectral._BLAS[0]()
@@ -450,9 +461,9 @@ def blas_threads(monkeypatch):
     seen = []
     original = spectral._solve
 
-    def recorded(*args, **kwargs):
-        seen.append(spectral._BLAS[0]())
-        return original(*args, **kwargs)
+    def recorded(matrix, *args, **kwargs):
+        seen.extend([spectral._BLAS[0]()] * matrices(matrix))
+        return original(matrix, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_solve", recorded)
     yield startup, seen
@@ -474,16 +485,18 @@ class TestSerialBlas:
     def test_count_restored_after_failed_scan(self, blas_threads, monkeypatch):
         startup, seen = blas_threads
         original = np.linalg.eigh
+        failing = schedule_matrix(chain_schedule(0.04), 0.1)
 
         def fail_second(matrix):
-            if len(seen) == 2:
+            if any(np.array_equal(m, failing) for m in np.reshape(matrix, (-1, 32, 32))):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return original(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", fail_second)
-        with pytest.raises(EigensolverError):
+        with pytest.raises(EigensolverError, match=r"at s=0\.1:"):
             gap_trace(chain_schedule(0.04), 11)
-        assert seen == [1, 1]
+        # The block of all 11 points, then point by point up to the failing one.
+        assert seen == [1] * (11 + 2)
         assert spectral._BLAS[0]() == startup
 
     def test_last_overlapping_user_restores(self, blas_threads):
@@ -530,21 +543,108 @@ class TestSerialBlas:
 
 
 class TestThreadIndependence:
+    @staticmethod
+    def run(driver: str):
+        """Trace, minimum and epsilon of the chain, on 7 blocks of 32 points."""
+        ising = qubo_to_ising(mis_chain(MisChainSpec(0.04)))
+        trace = gap_trace(ScheduleSpec(problem=ising, driver=driver), 201)
+        return trace, min_gap(trace), epsilon(trace)
+
+    @staticmethod
+    def assert_bitwise_equal(first, second):
+        for name in ("levels", "element", "ground_weights"):
+            assert np.array_equal(getattr(first[0], name), getattr(second[0], name))
+        assert first[1:] == second[1:]
+
     @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
     def test_unguarded_run_is_bitwise_equal(self, monkeypatch, driver):
-        ising = qubo_to_ising(mis_chain(MisChainSpec(0.04)))
-        sched = ScheduleSpec(problem=ising, driver=driver)
-
-        def run():
-            trace = gap_trace(sched, 201)
-            return trace, min_gap(trace), epsilon(trace)
-
-        guarded = run()
+        guarded = self.run(driver)
         monkeypatch.setattr(spectral, "_BLAS", None)
-        unguarded = run()
-        for name in ("levels", "element", "ground_weights"):
-            assert np.array_equal(getattr(guarded[0], name), getattr(unguarded[0], name))
-        assert guarded[1:] == unguarded[1:]
+        self.assert_bitwise_equal(guarded, self.run(driver))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    def test_scan_worker_count_is_bitwise_equal(self, monkeypatch, driver, workers):
+        default = self.run(driver)
+        monkeypatch.setattr(spectral, "_usable_cores", lambda: workers)
+        self.assert_bitwise_equal(default, self.run(driver))
+
+
+class TestBlockFailure:
+    """eigh fails on H(s) at two points in different blocks of a 101-point chain scan.
+
+    At dimension 32 a block holds 32 points, so on two workers points 0-63
+    run on the calling thread and points 64-100 on a pool thread. The later
+    point fails first.
+    """
+
+    GRID = np.linspace(0.0, 1.0, 101)
+    EARLIER, LATER = 40, 70  # second block of the first run, first block of the second
+
+    @pytest.fixture
+    def failing_eigh(self, monkeypatch):
+        original = np.linalg.eigh
+        later_failed = threading.Event()
+        # H(s) holds the driver coefficient 1 - s at entry (0, 1).
+        earlier, later = 1.0 - self.GRID[self.EARLIER], 1.0 - self.GRID[self.LATER]
+
+        def eigh(matrix):
+            entries = np.atleast_1d(matrix[..., 0, 1])
+            if later in entries:
+                later_failed.set()
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            if earlier in entries:
+                assert later_failed.wait(timeout=30)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(matrix)
+
+        monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        return re.escape(f"at s={self.GRID[self.EARLIER]}:")
+
+    def test_first_failing_s_in_grid_order(self, failing_eigh):
+        startup = spectral._BLAS[0]() if spectral._BLAS else None
+        before = set(threading.enumerate())
+        with pytest.raises(EigensolverError, match=failing_eigh):
+            gap_trace(chain_schedule(0.04), len(self.GRID))
+        assert set(threading.enumerate()) == before  # no pool thread outlives the scan
+        if startup is not None:
+            assert spectral._BLAS[0]() == startup
+
+    def test_analyze_exits_3_without_report(self, failing_eigh, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        save_problem(chain_schedule(0.04).problem, path)
+        rc = cli.main(["analyze", "--problem", str(path), "--grid", str(len(self.GRID)),
+                       "--out", str(tmp_path / "chain_")])
+        assert rc == 3
+        assert re.search(failing_eigh, capsys.readouterr().err)
+        assert not (tmp_path / "chain_report.json").exists()
+
+
+class TestBlockScanProperty:
+    """The threaded block scan against one solve per point, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=ising_problems(),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        grid=st.integers(2, 300),
+        workers=st.integers(1, 4),
+    )
+    # 2 blocks of 32 points at dimension 32, the last one short, on 4 workers.
+    @example(problem=chain_schedule(0.04).problem, driver=STOQUASTIC, grid=37, workers=4)
+    @example(problem=chain_schedule(0.04).problem, driver=NONSTOQUASTIC, grid=2, workers=3)
+    def test_matches_per_point_reference(self, problem, driver, grid, workers):
+        sched = ScheduleSpec(problem=problem, driver=driver)
+        with mock.patch.object(spectral, "_usable_cores", lambda: workers):
+            trace = gap_trace(sched, grid)
+        keep = trace.levels.shape[1]
+        for i, s in enumerate(trace.grid):
+            w, v = spectral._solve(schedule_matrix(sched, s))
+            element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
+            assert np.array_equal(trace.levels[i], w[:keep])
+            assert np.array_equal(trace.element[i], element)
+            assert np.array_equal(trace.ground_weights[i], v[:, 0] ** 2)
 
 
 def dense_n9() -> ScheduleSpec:
