@@ -621,6 +621,43 @@ class TestBlockFailure:
         assert not (tmp_path / "chain_report.json").exists()
 
 
+class TestStackFallback:
+    """A stack whose solve fails is solved again point by point."""
+
+    def test_failed_stacks_still_give_the_trace(self, monkeypatch):
+        # 101 points: three blocks of 32 and a short one of 5.
+        expected = gap_trace(chain_schedule(0.04), 101)
+        original = np.linalg.eigh
+
+        def eigh(matrix):
+            if matrix.ndim == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        trace = gap_trace(chain_schedule(0.04), 101)
+        for name in ("levels", "element", "ground_weights"):
+            assert np.array_equal(getattr(trace, name), getattr(expected, name))
+
+    def test_failed_single_point_is_solved_once(self, monkeypatch):
+        # At dimension 256 a block holds one point.
+        sched = random_schedule(8)
+        failing = schedule_matrix(sched, 0.5)
+        original = np.linalg.eigh
+        failures = []
+
+        def eigh(matrix):
+            if np.array_equal(matrix, failing):
+                failures.append(matrix.shape)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(EigensolverError, match=r"at s=0\.5: Eigenvalues"):
+            gap_trace(sched, 3)
+        assert failures == [(256, 256)]
+
+
 class TestBlockScanProperty:
     """The threaded block scan against one solve per point, bit for bit."""
 
