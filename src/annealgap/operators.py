@@ -7,7 +7,9 @@ Kronecker products, so every operator is exactly symmetric by construction.
 Basis convention: bit i of index m is 0 for sigma_i = +1. A ``ScheduleSpec``
 caches H_P as its diagonal vector next to the flip-pair indices;
 ``schedule_matrix`` fills one zeroed array with H(s) or dH/ds from them, or
-a stack of such arrays for a block of s.
+a stack of such arrays for a block of s; it is the one place the drivers are
+built. ``hamiltonian_at`` wraps one H(s) as a read-only, symmetry-checked
+``DenseOperator`` for callers outside the spectral scan.
 Dense storage is capped at 14 spins (16384 x 16384), checked before
 allocating.
 """
@@ -78,11 +80,6 @@ def problem_diagonal(p: IsingProblem) -> np.ndarray:
     return diag
 
 
-def problem_operator(p: IsingProblem) -> DenseOperator:
-    """Diagonal operator whose entry at basis index m is the energy of assignment m."""
-    return DenseOperator(p.n, np.diag(problem_diagonal(p)))
-
-
 def _flip_indices(n: int, flips: int) -> np.ndarray:
     """Flat indices into a 2^n x 2^n array of every basis pair ``flips`` spin flips apart.
 
@@ -94,28 +91,6 @@ def _flip_indices(n: int, flips: int) -> np.ndarray:
         dtype=np.intp,
     )
     return ((rows << n) + (rows ^ masks)).reshape(-1)
-
-
-def transverse_driver(n: int) -> DenseOperator:
-    """Sum of single-spin-flip operators: 1 at every Hamming-distance-1 pair."""
-    _check_cap(n)
-    m = np.zeros((1 << n, 1 << n))
-    m.reshape(-1)[_flip_indices(n, 1)] = 1.0
-    return DenseOperator(n, m)
-
-
-def antiferromagnetic_driver(n: int) -> DenseOperator:
-    """Squared mean transverse field with positive sign: (1/n) (sum_i X_i)^2.
-
-    Expands to the identity plus 2/n at every Hamming-distance-2 pair, which
-    is the two-spin-flip fluctuation term.
-    """
-    _check_cap(n)
-    dim = 1 << n
-    m = np.zeros((dim, dim))
-    m.reshape(-1)[_flip_indices(n, 2)] = 2.0 / n
-    m.reshape(-1)[:: dim + 1] = 1.0
-    return DenseOperator(n, m)
 
 
 @dataclass(frozen=True)
@@ -203,7 +178,3 @@ def hamiltonian_at(sched: ScheduleSpec, s: float) -> DenseOperator:
     """Schedule Hamiltonian H(s)."""
     return DenseOperator(sched.n, schedule_matrix(sched, s))
 
-
-def derivative_at(sched: ScheduleSpec, s: float) -> DenseOperator:
-    """Exact dH/ds of the schedule."""
-    return DenseOperator(sched.n, schedule_matrix(sched, s, derivative=True))

@@ -3,8 +3,9 @@
 The final Hamiltonian is diagonal in the computational basis, so its
 eigenstates are basis states and the squared overlaps are squared ground-state
 amplitudes; eigenvector phase never enters. States are ordered by final energy
-ascending with ties broken by basis index ascending, which keeps weights of
-degenerate final levels individually well defined and deterministic.
+ascending, read from the H_P diagonal the schedule caches, with ties broken by
+basis index ascending, which keeps weights of degenerate final levels
+individually well defined and deterministic.
 """
 
 from __future__ import annotations
@@ -13,39 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import problem_diagonal
-from .problems import IsingProblem, SpinAssignment
 from .spectral import EigensolverError, SpectralTrace, _check_nondegenerate, _scanned
 
 #: Normalization of the tracked ground state must hold to this tolerance.
 NORMALIZATION_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FinalBasis:
-    """Computational basis states ordered by final energy, ties by index."""
-
-    order: np.ndarray
-    energies: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", np.asarray(self.order, dtype=int))
-        object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.order.size.bit_length() - 1
-
-    def assignment(self, k: int) -> SpinAssignment:
-        """q-form assignment of the k-th final eigenstate (k=0 is the ground state)."""
-        return SpinAssignment.from_basis_index(int(self.order[k]), self.n)
-
-
-def final_basis(p: IsingProblem) -> FinalBasis:
-    """Order all 2^n basis states by problem energy ascending, then by index."""
-    diag = problem_diagonal(p)
-    order = np.argsort(diag, kind="stable")
-    return FinalBasis(order=order, energies=diag[order])
 
 
 @dataclass(frozen=True)
@@ -76,7 +48,8 @@ def overlap_trace(trace: SpectralTrace, k_max: int = 5) -> OverlapTrace:
     dim = 1 << sched.n
     if not 0 <= k_max < dim:
         raise ValueError(f"k_max must lie in [0, {dim - 1}], got {k_max}")
-    basis = final_basis(sched.problem)
+    energies = sched.problem_diagonal
+    order = np.argsort(energies, kind="stable")
     _check_nondegenerate(
         trace,
         "instantaneous ground state is degenerate at s={s}; "
@@ -91,7 +64,7 @@ def overlap_trace(trace: SpectralTrace, k_max: int = 5) -> OverlapTrace:
         )
     return OverlapTrace(
         grid=trace.grid,
-        weights=amplitudes_sq[:, basis.order[: k_max + 1]],
-        labels=basis.energies[: k_max + 1],
+        weights=amplitudes_sq[:, order[: k_max + 1]],
+        labels=energies[order[: k_max + 1]],
         norm=norms,
     )

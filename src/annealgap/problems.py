@@ -162,14 +162,17 @@ class SpinAssignment:
     form: str = Q_FORM
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
         if self.form not in (Q_FORM, SIGMA_FORM):
             raise ProblemFormatError(f"unknown assignment form {self.form!r}")
         allowed = {0, 1} if self.form == Q_FORM else {-1, 1}
-        if not set(self.values) <= allowed:
+        values = tuple(self.values)
+        # Checked before int(), which would truncate 0.5 to 0 and -1.5 to -1.
+        if not all(v in allowed for v in values):
             raise ProblemFormatError(
-                f"{self.form}-form assignment must take values in {sorted(allowed)}"
+                f"{self.form}-form assignment must take values in {sorted(allowed)}, "
+                f"got {values!r}"
             )
+        object.__setattr__(self, "values", tuple(int(v) for v in values))
 
     @property
     def n(self) -> int:
@@ -288,6 +291,11 @@ def save_problem(problem, path) -> None:
         fh.write("\n")
 
 
+def _is_json_number(value) -> bool:
+    """True for a JSON number as ``json`` parses it; strings, booleans and null are not."""
+    return type(value) in (int, float)
+
+
 def load_problem(path):
     """Read a problem file back; returns QuboProblem or IsingProblem by form tag."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -300,8 +308,8 @@ def load_problem(path):
         n = doc["n"]
         entries = doc["quadratic"]
         linear = doc["linear"]
-        offset = float(doc.get("offset", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        offset = doc.get("offset", 0.0)
+    except (KeyError, TypeError) as exc:
         raise ProblemFormatError(f"{path}: missing or malformed field ({exc})") from exc
     if form not in _FORM_TAGS:
         raise ProblemFormatError(f"{path}: unknown form tag {form!r}")
@@ -309,15 +317,19 @@ def load_problem(path):
         raise ProblemFormatError(f"{path}: n must be a positive integer, got {n!r}")
     if not isinstance(linear, list) or len(linear) != n:
         raise ProblemFormatError(f"{path}: linear must be a list of n={n} numbers")
+    vector = "b" if form == "qubo" else "h"  # named as the problem's field, like _check_linear
+    numbers = {"offset": offset, **{f"{vector}[{i}]": v for i, v in enumerate(linear)}}
+    for what, value in numbers.items():
+        if not _is_json_number(value):
+            raise ProblemFormatError(f"{path}: {what} must be a number, got {value!r}")
     if not isinstance(entries, list):
         raise ProblemFormatError(f"{path}: quadratic must be a list of [i, j, value] entries")
     quad: dict[tuple[int, int], float] = {}
     for entry in entries:
         try:
             i, j, value = entry
-            if type(i) is not int or type(j) is not int:
+            if type(i) is not int or type(j) is not int or not _is_json_number(value):
                 raise TypeError
-            value = float(value)
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError(
                 f"{path}: bad quadratic entry {entry!r}; expected [i, j, value] "

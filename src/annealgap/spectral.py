@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .operators import DenseOperator, ScheduleSpec, schedule_matrix
+from .operators import ScheduleSpec, schedule_matrix
 
 #: Two ascending levels closer than this, relative to max(1, max |level|) at
 #: their point, are treated as degenerate: solver errors scale with ||H||.
@@ -158,10 +158,9 @@ def _failure(s: Optional[float], detail: str) -> EigensolverError:
 
 
 def _solve(
-    matrix: np.ndarray, s: Optional[float] = None, vectors: bool = True,
-    keep: Optional[int] = None,
+    matrix: np.ndarray, s: Optional[float] = None, vectors: bool = True, *, keep: int
 ):
-    """The ``keep`` lowest levels (all when None), with eigenvectors as columns.
+    """The ``keep`` lowest levels, with eigenvectors as columns.
 
     Above ``SERIAL_BLAS_MAX_DIM`` LAPACK's dsyevr computes only the requested
     levels of one matrix, overwriting ``matrix``; otherwise ``eigh`` or
@@ -171,7 +170,7 @@ def _solve(
     """
     dim = matrix.shape[-1]
     one_large = matrix.ndim == 2 and dim > SERIAL_BLAS_MAX_DIM
-    if keep is not None and _SYEVR is not None and one_large:
+    if _SYEVR is not None and one_large:
         matrix = np.require(matrix, np.float64, ["C", "W"])  # copies only a read-only input
         lapack_int = _SYEVR.restype
         found = lapack_int()
@@ -195,15 +194,6 @@ def _solve(
         return w[..., :keep], v[..., :keep]
     except np.linalg.LinAlgError as exc:
         raise _failure(s, str(exc)) from exc
-
-
-def full_spectrum(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (as columns).
-
-    Contract: ||M - V diag(w) V^T||_max <= 1e-9 ||M||_max and
-    ||V^T V - I||_max <= 1e-10.
-    """
-    return _solve(op.matrix)
 
 
 @dataclass(frozen=True)

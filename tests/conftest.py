@@ -2,9 +2,12 @@
 
 The golden regression rows live here as plain literals. The oracles evaluate
 energies through dense matrix algebra and exhaustive enumeration so they share
-no code path with the sparse-map implementations they check.
+no code path with the sparse-map implementations they check; the schedule
+operators are likewise rebuilt from Kronecker products of Pauli X, not from
+the flip-index arrays that ``schedule_matrix`` writes through.
 """
 
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -93,6 +96,45 @@ def enumerate_ising(problem: IsingProblem):
 def enumerate_qubo(problem: QuboProblem):
     for q in product((0, 1), repeat=problem.n):
         yield q, dense_qubo_energy(problem, q)
+
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def kron_transverse(n: int) -> np.ndarray:
+    """Sum_i X_i as Kronecker products; spin i is bit i of the basis index,
+    so its factor sits i places from the right."""
+    return sum(
+        reduce(np.kron, [PAULI_X if k == i else np.eye(2) for k in reversed(range(n))])
+        for i in range(n)
+    )
+
+
+def kron_antiferromagnetic(n: int) -> np.ndarray:
+    """(Sum_i X_i)^2 / n by matrix product, not by its expansion."""
+    x = kron_transverse(n)
+    return x @ x / n
+
+
+def kron_problem(problem: IsingProblem) -> np.ndarray:
+    """diag of the oracle energies; bit i of the index set means sigma_i = -1."""
+    return np.diag([
+        dense_ising_energy(problem, [1 - 2 * ((m >> i) & 1) for i in range(problem.n)])
+        for m in range(1 << problem.n)
+    ])
+
+
+def kron_schedule(problem: IsingProblem, driver: str, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """H(s) and dH/ds as whole-matrix expressions over the oracle operators.
+
+    stoquastic (1-s) H_B + s H_P, otherwise s [s H_P + (1-s) H_AFF] + (1-s) H_B.
+    """
+    hp, hb = kron_problem(problem), kron_transverse(problem.n)
+    if driver == "stoquastic":
+        return (1.0 - s) * hb + s * hp, hp - hb
+    aff = kron_antiferromagnetic(problem.n)
+    hamiltonian = s * (s * hp + (1.0 - s) * aff) + (1.0 - s) * hb
+    return hamiltonian, 2.0 * s * hp + (1.0 - 2.0 * s) * aff - hb
 
 
 def random_ising(rng: np.random.Generator, n: int, density: float = 0.7) -> IsingProblem:

@@ -180,6 +180,17 @@ class TestAnalyze:
         assert "symmetric" not in err
         assert not (tmp_path / "nan_report.json").exists()
 
+    def test_non_numeric_coefficients_are_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "text.json"
+        doc = {"form": "ising", "n": 2, "quadratic": [[0, 1, "1.5"]],
+               "linear": [True, "2"], "offset": False}
+        bad.write_text(json.dumps(doc))
+        rc = main(["analyze", "--problem", str(bad), "--out", str(tmp_path / "text_")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: offset must be a number, got False" in err
+        assert not (tmp_path / "text_report.json").exists()
+
     def test_short_linear_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps({"form": "ising", "n": 3, "quadratic": [], "linear": []}))

@@ -12,7 +12,6 @@ from annealgap import (
     compose_swap,
     mis_chain,
     problem_diagonal,
-    problem_operator,
     qubo_to_ising,
     swap_labels,
     transform,
@@ -23,6 +22,7 @@ from conftest import (
     assert_coefficients,
     dense_ising_energy,
     enumerate_ising,
+    kron_problem,
     random_ising,
 )
 
@@ -96,10 +96,8 @@ class TestTransform:
         perm = conjugation_permutation(n, k)
         u = np.zeros((1 << n, 1 << n))
         u[np.arange(1 << n), perm] = 1.0
-        conjugated = u @ problem_operator(p).matrix @ u.T
-        assert np.allclose(
-            problem_operator(transform(p, k)).matrix, conjugated, atol=1e-12
-        )
+        conjugated = u @ kron_problem(p) @ u.T
+        assert np.allclose(kron_problem(transform(p, k)), conjugated, atol=1e-12)
 
 
 class TestBackMap:

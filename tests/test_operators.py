@@ -1,4 +1,4 @@
-"""Dense operator construction and the schedule Hamiltonian with its derivative."""
+"""The schedule Hamiltonian and its derivative, checked against Kronecker oracles."""
 
 import math
 import tracemalloc
@@ -16,36 +16,44 @@ from annealgap import (
     STOQUASTIC,
     ScheduleSpec,
     SpinAssignment,
-    antiferromagnetic_driver,
-    derivative_at,
     hamiltonian_at,
     mis_chain,
-    problem_operator,
+    problem_diagonal,
     qubo_to_ising,
-    transverse_driver,
 )
 from annealgap.operators import schedule_matrix
-from conftest import ROW_ISING, ising_problems, random_ising
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+from conftest import (
+    PAULI_X,
+    ROW_ISING,
+    ising_problems,
+    kron_problem,
+    kron_schedule,
+    kron_transverse,
+    random_ising,
+)
 
 
 def two_level() -> ScheduleSpec:
     return ScheduleSpec(problem=IsingProblem(n=1, J={}, h=(1.0,)))
 
 
-def dense_reference(sched: ScheduleSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """H(s) and dH/ds as whole-matrix expressions over the three dense operators."""
-    hp = problem_operator(sched.problem).matrix
-    hb = transverse_driver(sched.n).matrix
-    if sched.driver == STOQUASTIC:
-        return (1.0 - s) * hb + s * hp, hp - hb
-    aff = antiferromagnetic_driver(sched.n).matrix
-    lam, dlam = s, 1.0
-    coeff_p = lam + s * dlam
-    coeff_a = 1.0 - lam - s * dlam
-    hamiltonian = s * (lam * hp + (1.0 - lam) * aff) + (1.0 - s) * hb
-    return hamiltonian, coeff_p * hp + coeff_a * aff - hb
+def driver_at_zero(n: int) -> np.ndarray:
+    """H_B, read off the engine as H(0) of a field-free schedule."""
+    return schedule_matrix(ScheduleSpec(problem=IsingProblem(n=n)), 0.0)
+
+
+def fluctuation_term(n: int) -> np.ndarray:
+    """H_AFF, read off the engine: on a field-free non-stoquastic schedule
+    H(0) = H_B and dH/ds(0) = H_AFF - H_B."""
+    sched = ScheduleSpec(problem=IsingProblem(n=n), driver=NONSTOQUASTIC)
+    return schedule_matrix(sched, 0.0) + schedule_matrix(sched, 0.0, derivative=True)
+
+
+def assert_close(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal up to the rounding of the two summation orders."""
+    scale = max(1.0, np.abs(want).max())
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 class TestDenseOperator:
@@ -58,76 +66,76 @@ class TestDenseOperator:
             DenseOperator(1, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_matrix_read_only(self):
-        op = transverse_driver(2)
+        op = hamiltonian_at(two_level(), 0.5)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
     def test_dim(self):
-        assert transverse_driver(3).dim == 8
+        assert hamiltonian_at(ScheduleSpec(problem=IsingProblem(n=3)), 0.5).dim == 8
 
 
 class TestProblemOperator:
+    """H_P as the diagonal that ``ScheduleSpec`` caches and H(1) carries."""
+
     def test_single_spin_field(self):
-        op = problem_operator(IsingProblem(n=1, J={}, h=(1.0,)))
-        assert np.array_equal(op.matrix, np.diag([1.0, -1.0]))
+        assert np.array_equal(schedule_matrix(two_level(), 1.0), np.diag([1.0, -1.0]))
 
     def test_zero_problem(self):
-        op = problem_operator(IsingProblem(n=3, J={}, h=(0, 0, 0)))
-        assert np.array_equal(op.matrix, np.zeros((8, 8)))
+        sched = ScheduleSpec(problem=IsingProblem(n=3, J={}, h=(0, 0, 0)))
+        assert np.array_equal(schedule_matrix(sched, 1.0), np.zeros((8, 8)))
 
     def test_chain_min_diagonal_without_carried_offset(self):
         p = IsingProblem(n=5, J=ROW_ISING["J"], h=ROW_ISING["h"])
-        assert problem_operator(p).matrix.diagonal().min() == pytest.approx(
-            -6.10, abs=1e-12
-        )
+        assert problem_diagonal(p).min() == pytest.approx(-6.10, abs=1e-12)
 
     def test_chain_min_diagonal_with_carried_offset(self):
         ising = qubo_to_ising(mis_chain(MisChainSpec(0.04)))
-        assert problem_operator(ising).matrix.diagonal().min() == pytest.approx(
+        assert ScheduleSpec(problem=ising).problem_diagonal.min() == pytest.approx(
             -12.0, abs=1e-12
         )
 
     def test_diagonal_equals_energy_exactly(self, rng):
         p = random_ising(rng, 4)
-        diag = problem_operator(p).matrix.diagonal()
+        diag = problem_diagonal(p)
         for m in range(16):
             assert diag[m] == p.energy(SpinAssignment.from_basis_index(m, 4))
 
     def test_cap_enforced(self):
         p = IsingProblem(n=15, J={}, h=(0,) * 15)
         with pytest.raises(ValueError, match="at most 14"):
-            problem_operator(p)
+            problem_diagonal(p)
 
 
 class TestTransverseDriver:
+    """H_B = H(0) of the stoquastic schedule."""
+
     def test_single_spin(self):
-        assert np.array_equal(transverse_driver(1).matrix, PAULI_X)
+        assert np.array_equal(driver_at_zero(1), PAULI_X)
 
     def test_hamming_structure(self):
-        m = transverse_driver(3).matrix
+        m = driver_at_zero(3)
         for a in range(8):
             for b in range(8):
                 expected = 1.0 if bin(a ^ b).count("1") == 1 else 0.0
                 assert m[a, b] == expected
 
     def test_row_sums(self):
-        m = transverse_driver(5).matrix
-        assert np.array_equal(m.sum(axis=1), np.full(32, 5.0))
+        assert np.array_equal(driver_at_zero(5).sum(axis=1), np.full(32, 5.0))
 
     def test_uniform_ground_state(self):
-        w, v = np.linalg.eigh(transverse_driver(5).matrix)
+        w, v = np.linalg.eigh(driver_at_zero(5))
         assert w[0] == pytest.approx(-5.0, abs=1e-12)
         assert np.allclose(np.abs(v[:, 0]), 1.0 / np.sqrt(32.0), atol=1e-9)
 
 
 class TestAntiferromagneticDriver:
     def test_single_spin_is_identity(self):
-        assert np.array_equal(antiferromagnetic_driver(1).matrix, np.eye(2))
+        assert np.array_equal(fluctuation_term(1), np.eye(2))
 
     def test_two_spin_expansion(self):
         expected = np.eye(4) + np.kron(PAULI_X, PAULI_X)
-        assert np.array_equal(antiferromagnetic_driver(2).matrix, expected)
-        w = np.linalg.eigvalsh(antiferromagnetic_driver(2).matrix)
+        assert np.array_equal(fluctuation_term(2), expected)
+        w = np.linalg.eigvalsh(fluctuation_term(2))
         assert np.allclose(w, [0.0, 0.0, 2.0, 2.0], atol=1e-12)
 
     def test_five_spin_spectrum(self):
@@ -135,7 +143,7 @@ class TestAntiferromagneticDriver:
         expected = sorted(
             (5 - 2 * w) ** 2 / 5.0 for w in range(6) for _ in range(comb(5, w))
         )
-        got = np.linalg.eigvalsh(antiferromagnetic_driver(5).matrix)
+        got = np.linalg.eigvalsh(fluctuation_term(5))
         assert np.allclose(got, expected, atol=1e-9)
 
 
@@ -147,10 +155,8 @@ class TestHamiltonianAt:
 
     def test_nonstoquastic_endpoints(self, rng):
         sched = ScheduleSpec(problem=random_ising(rng, 3), driver=NONSTOQUASTIC)
-        assert np.array_equal(hamiltonian_at(sched, 0.0).matrix, transverse_driver(3).matrix)
-        assert np.array_equal(
-            hamiltonian_at(sched, 1.0).matrix, problem_operator(sched.problem).matrix
-        )
+        assert np.array_equal(hamiltonian_at(sched, 0.0).matrix, kron_transverse(3))
+        assert_close(hamiltonian_at(sched, 1.0).matrix, kron_problem(sched.problem))
 
     def test_midpoint_two_level(self):
         got = hamiltonian_at(two_level(), 0.5).matrix
@@ -175,35 +181,35 @@ class TestHamiltonianAt:
 
 
 class TestDerivativeAt:
+    """dH/ds from ``schedule_matrix(..., derivative=True)``."""
+
     def test_stoquastic_constant(self, rng):
         sched = ScheduleSpec(problem=random_ising(rng, 3))
-        expected = (
-            problem_operator(sched.problem).matrix - transverse_driver(3).matrix
-        )
-        for s in (0.0, 0.4, 1.0):
-            assert np.array_equal(derivative_at(sched, s).matrix, expected)
+        expected = kron_problem(sched.problem) - kron_transverse(3)
+        first = schedule_matrix(sched, 0.0, derivative=True)
+        assert_close(first, expected)
+        for s in (0.4, 1.0):
+            assert np.array_equal(schedule_matrix(sched, s, derivative=True), first)
 
     def test_nonstoquastic_midpoint_drops_fluctuation_term(self, rng):
         sched = ScheduleSpec(problem=random_ising(rng, 3), driver=NONSTOQUASTIC)
-        expected = (
-            problem_operator(sched.problem).matrix - transverse_driver(3).matrix
-        )
-        assert np.allclose(derivative_at(sched, 0.5).matrix, expected, atol=1e-15)
+        expected = kron_problem(sched.problem) - kron_transverse(3)
+        assert_close(schedule_matrix(sched, 0.5, derivative=True), expected)
 
     @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
     def test_matches_central_difference(self, driver, rng):
         sched = ScheduleSpec(problem=random_ising(rng, 3), driver=driver)
         step = 1e-6
         for s in rng.uniform(0.01, 0.99, size=11):
-            fd = (
-                hamiltonian_at(sched, s + step).matrix
-                - hamiltonian_at(sched, s - step).matrix
-            ) / (2 * step)
-            err = np.abs(derivative_at(sched, s).matrix - fd).max()
+            fd = (schedule_matrix(sched, s + step) - schedule_matrix(sched, s - step)) / (2 * step)
+            err = np.abs(schedule_matrix(sched, s, derivative=True) - fd).max()
             assert err <= 1e-6
 
 
 class TestDenseReferenceProperty:
+    """``schedule_matrix`` against the Kronecker-product oracle of conftest,
+    which shares no index arithmetic with it."""
+
     @settings(max_examples=500, deadline=None)
     @given(
         problem=ising_problems(),
@@ -212,9 +218,25 @@ class TestDenseReferenceProperty:
     )
     def test_schedule_matches_dense_reference(self, problem, driver, s):
         sched = ScheduleSpec(problem=problem, driver=driver)
-        hamiltonian, derivative = dense_reference(sched, s)
-        assert np.array_equal(hamiltonian_at(sched, s).matrix, hamiltonian)
-        assert np.array_equal(derivative_at(sched, s).matrix, derivative)
+        hamiltonian, derivative = kron_schedule(problem, driver, s)
+        assert_close(schedule_matrix(sched, s), hamiltonian)
+        assert_close(schedule_matrix(sched, s, derivative=True), derivative)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        problem=ising_problems(max_n=5),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        interior=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    def test_stack_matches_dense_reference(self, problem, driver, interior):
+        sched = ScheduleSpec(problem=problem, driver=driver)
+        s = np.array([0.0, *interior, 1.0])
+        hamiltonians = schedule_matrix(sched, s)
+        derivatives = schedule_matrix(sched, s, derivative=True)
+        for point, hamiltonian, derivative in zip(s, hamiltonians, derivatives):
+            want_h, want_d = kron_schedule(problem, driver, point)
+            assert_close(hamiltonian, want_h)
+            assert_close(derivative, want_d)
 
 
 class TestScheduleMatrixStack:

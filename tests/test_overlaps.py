@@ -8,7 +8,7 @@ from annealgap import (
     IsingProblem,
     MisChainSpec,
     ScheduleSpec,
-    final_basis,
+    SpinAssignment,
     gap_trace,
     min_gap,
     mis_chain,
@@ -23,32 +23,52 @@ def chain_schedule(delta_b: float) -> ScheduleSpec:
 
 
 class TestFinalBasis:
+    """The order of ``overlap_trace``'s columns: final energy ascending, ties by
+    basis index. Column k must be the scan's ground weight at the k-th index."""
+
     def test_chain_ground_and_first_excited(self):
-        basis = final_basis(chain_schedule(0.04).problem)
-        assert basis.assignment(0).values == (1, 0, 1, 0, 1)
-        assert basis.assignment(1).values == (0, 1, 0, 1, 0)
-        assert basis.energies[0] == pytest.approx(-12.0, abs=1e-12)
-        assert basis.energies[1] == pytest.approx(-11.96, abs=1e-12)
+        scan = gap_trace(chain_schedule(0.04), 11)
+        trace = overlap_trace(scan, k_max=1)
+        for k, q in enumerate([(1, 0, 1, 0, 1), (0, 1, 0, 1, 0)]):
+            index = SpinAssignment(q).basis_index
+            assert np.array_equal(trace.weights[:, k], scan.ground_weights[:, index])
+        assert trace.labels[0] == pytest.approx(-12.0, abs=1e-12)
+        assert trace.labels[1] == pytest.approx(-11.96, abs=1e-12)
 
     def test_matches_exhaustive_enumeration(self):
         qubo = mis_chain(MisChainSpec(0.04))
-        basis = final_basis(qubo_to_ising(qubo))
+        sched = ScheduleSpec(problem=qubo_to_ising(qubo))
+        trace = overlap_trace(gap_trace(sched, 11), k_max=31)
         oracle = sorted(e for _, e in enumerate_qubo(qubo))
-        assert np.allclose(basis.energies, oracle, atol=1e-12)
+        assert np.allclose(trace.labels, oracle, atol=1e-12)
 
     def test_degenerate_pair_ordered_by_index(self):
         # the chain family has a two-fold level at -9.88 + (delta_b adjustments)
-        basis = final_basis(chain_schedule(0.04).problem)
-        assert basis.energies[4] == pytest.approx(basis.energies[5], abs=1e-12)
-        assert basis.order[4] < basis.order[5]
+        sched = chain_schedule(0.04)
+        scan = gap_trace(sched, 11)
+        trace = overlap_trace(scan, k_max=5)
+        assert trace.labels[4] == pytest.approx(trace.labels[5], abs=1e-12)
+        pair = np.flatnonzero(np.abs(sched.problem_diagonal - trace.labels[4]) <= 1e-12)
+        assert len(pair) == 2
+        assert not np.array_equal(scan.ground_weights[:, pair[0]], scan.ground_weights[:, pair[1]])
+        assert np.array_equal(trace.weights[:, 4:6], scan.ground_weights[:, pair])
 
-    def test_all_zero_ties_break_by_index(self):
-        basis = final_basis(IsingProblem(n=3, J={}, h=(0, 0, 0)))
-        assert np.array_equal(basis.order, np.arange(8))
+    def test_three_fold_tie_ordered_by_index(self):
+        # energies 1, 1, 1, -3 at indices 0..3: the unique ground state 3 leads,
+        # then the tied level in index order
+        sched = ScheduleSpec(problem=IsingProblem(n=2, J={(0, 1): -1.0}, h=(1.0, 1.0)))
+        scan = gap_trace(sched, 11)
+        trace = overlap_trace(scan, k_max=3)
+        assert np.array_equal(trace.labels, [-3.0, 1.0, 1.0, 1.0])
+        assert not np.array_equal(scan.ground_weights[:, 0], scan.ground_weights[:, 1])
+        assert np.array_equal(trace.weights, scan.ground_weights[:, [3, 0, 1, 2]])
 
     def test_single_spin_ground_state(self):
-        basis = final_basis(IsingProblem(n=1, J={}, h=(1.0,)))
-        assert basis.assignment(0).to_sigma().values == (-1,)
+        scan = gap_trace(ScheduleSpec(problem=IsingProblem(n=1, J={}, h=(1.0,))), 11)
+        trace = overlap_trace(scan, k_max=1)
+        down = SpinAssignment((-1,), "sigma").basis_index
+        assert np.array_equal(trace.labels, [-1.0, 1.0])
+        assert np.array_equal(trace.weights[:, 0], scan.ground_weights[:, down])
 
 
 class TestOverlapTrace:

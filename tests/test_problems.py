@@ -113,6 +113,26 @@ class TestSpinAssignment:
         with pytest.raises(ProblemFormatError):
             SpinAssignment((0, 1), "sigma")
 
+    @pytest.mark.parametrize(
+        "values, form",
+        [
+            pytest.param((0.5, 1, 0.9), "q", id="q-fraction"),
+            pytest.param((1.5, 0), "q", id="q-above-one"),
+            pytest.param((-1.5, 1), "sigma", id="sigma-fraction"),
+            pytest.param((1, -0.5), "sigma", id="sigma-toward-zero"),
+            pytest.param((float("nan"), 1), "sigma", id="sigma-nan"),
+            pytest.param(("1", 0), "q", id="q-text"),
+        ],
+    )
+    def test_non_integral_values_rejected_not_truncated(self, values, form):
+        with pytest.raises(ProblemFormatError, match=f"{form}-form assignment"):
+            SpinAssignment(values, form)
+
+    def test_integral_floats_accepted(self):
+        a = SpinAssignment((1.0, -1.0), "sigma")
+        assert a.values == (1, -1)
+        assert all(type(v) is int for v in a.values)
+
     def test_basis_index_round_trip(self):
         for m in range(16):
             a = SpinAssignment.from_basis_index(m, 4)
@@ -319,6 +339,16 @@ class TestSerialization:
             pytest.param({"quadratic": [[0, 1.5, 1.0]]}, r"entry \[0, 1.5, 1.0\]", id="index-float"),
             pytest.param({"quadratic": [[0, None, 1]]}, r"entry \[0, None, 1\]", id="index-null"),
             pytest.param({"quadratic": [[0, 1]]}, r"bad quadratic entry \[0, 1\]", id="short-entry"),
+            pytest.param({"quadratic": [[0, 1, "1.5"]]}, r"entry \[0, 1, '1.5'\]", id="value-numeric-text"),
+            pytest.param({"quadratic": [[0, 1, True]]}, r"entry \[0, 1, True\]", id="value-bool"),
+            pytest.param({"quadratic": [[0, 1, None]]}, r"entry \[0, 1, None\]", id="value-null"),
+            pytest.param({"linear": [True, 0, 0]}, r"h\[0\] must be a number, got True", id="linear-bool"),
+            pytest.param({"linear": [0, "2", 0]}, r"h\[1\] must be a number, got '2'", id="linear-numeric-text"),
+            pytest.param({"linear": [0, 0, None]}, r"h\[2\] must be a number, got None", id="linear-null"),
+            pytest.param({"form": "qubo", "linear": [0, False, 0]}, r"b\[1\] must be a number", id="qubo-linear-bool"),
+            pytest.param({"offset": False}, "offset must be a number, got False", id="offset-bool"),
+            pytest.param({"offset": "0.5"}, "offset must be a number, got '0.5'", id="offset-text"),
+            pytest.param({"offset": None}, "offset must be a number, got None", id="offset-null"),
         ],
     )
     def test_malformed_field_names_the_file(self, tmp_path, change, message):
@@ -328,6 +358,16 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match=message) as excinfo:
             load_problem(path)
         assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_integer_coefficients_load_as_floats(self, tmp_path):
+        path = tmp_path / "ok.json"
+        self._write(
+            path,
+            {"form": "ising", "n": 2, "quadratic": [[0, 1, 2]], "linear": [1, 0.5], "offset": -1},
+        )
+        p = load_problem(path)
+        assert p.J == {(0, 1): 2.0} and p.h == (1.0, 0.5) and p.offset == -1.0
+        assert all(type(v) is float for v in (*p.J.values(), *p.h, p.offset))
 
     def test_reversed_single_key_accepted(self, tmp_path):
         path = tmp_path / "ok.json"

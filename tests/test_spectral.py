@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from annealgap import (
     DegenerateLevelsError,
-    DenseOperator,
     EigensolverError,
     FitWindowError,
     IsingProblem,
@@ -26,7 +25,6 @@ from annealgap import (
     detect_anticrossing,
     epsilon,
     fit_hyperbola,
-    full_spectrum,
     gap_trace,
     hamiltonian_at,
     min_gap,
@@ -39,7 +37,7 @@ from annealgap import (
 )
 from annealgap import cli, spectral
 from annealgap.cli import _sweep_cell
-from annealgap.operators import derivative_at, schedule_matrix
+from annealgap.operators import schedule_matrix
 from annealgap.spectral import _INV_GOLD
 from conftest import ising_problems, random_ising
 
@@ -67,22 +65,24 @@ def two_level_element(s: float) -> float:
 
 
 class TestFullSpectrum:
+    """``_solve`` keeping every level: ||M - V diag(w) V^T||_max <= 1e-9 ||M||_max
+    and ||V^T V - I||_max <= 1e-10."""
+
     def test_pauli_x(self):
-        w, v = full_spectrum(DenseOperator(1, np.array([[0.0, 1.0], [1.0, 0.0]])))
+        w, v = spectral._solve(np.array([[0.0, 1.0], [1.0, 0.0]]), keep=2)
         assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
         assert np.allclose(v.T @ v, np.eye(2), atol=1e-12)
 
     def test_diagonal_operator(self):
         diag = np.array([3.0, -1.0, 2.0, 0.0])
-        w, v = full_spectrum(DenseOperator(2, np.diag(diag)))
+        w, v = spectral._solve(np.diag(diag), keep=4)
         assert np.array_equal(w, np.sort(diag))
         assert np.allclose(np.abs(v), np.abs(v.round()), atol=1e-12)
 
     def test_residual_contract_random(self, rng):
         a = rng.normal(size=(32, 32))
-        op = DenseOperator(5, a + a.T)
-        w, v = full_spectrum(op)
-        m = op.matrix
+        m = a + a.T
+        w, v = spectral._solve(m, keep=32)
         scale = np.abs(m).max()
         assert np.abs(m - v @ np.diag(w) @ v.T).max() <= 1e-9 * scale
         assert np.abs(v.T @ v - np.eye(32)).max() <= 1e-10
@@ -266,16 +266,14 @@ class TestEpsilon:
         # spot-check the underlying matrix element at several s values
         sched = two_level()
         for s in (0.1, 0.3, 0.5, 0.9):
-            w, v = full_spectrum(hamiltonian_at(sched, s))
-            element = abs(v[:, 1] @ derivative_at(sched, s).matrix @ v[:, 0])
+            w, v = np.linalg.eigh(schedule_matrix(sched, s))
+            element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
             assert element == pytest.approx(two_level_element(s), abs=1e-12)
 
     def test_cauchy_schwarz_bound(self):
         sched = chain_schedule(0.04)
-        from annealgap.operators import derivative_at
-
         got = epsilon(gap_trace(sched, 401))
-        norm = np.abs(np.linalg.eigvalsh(derivative_at(sched, 0.5).matrix)).max()
+        norm = np.abs(np.linalg.eigvalsh(schedule_matrix(sched, 0.5, derivative=True))).max()
         assert got <= norm + 1e-9
 
     def test_chain_order_of_problem_scale(self):
@@ -677,9 +675,9 @@ class TestBlockScanProperty:
             trace = gap_trace(sched, grid)
         keep = trace.levels.shape[1]
         for i, s in enumerate(trace.grid):
-            w, v = spectral._solve(schedule_matrix(sched, s))
+            w, v = spectral._solve(schedule_matrix(sched, s), keep=keep)
             element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
-            assert np.array_equal(trace.levels[i], w[:keep])
+            assert np.array_equal(trace.levels[i], w)
             assert np.array_equal(trace.element[i], element)
             assert np.array_equal(trace.ground_weights[i], v[:, 0] ** 2)
 
@@ -723,8 +721,8 @@ class TestLowestLevels:
         sched = n9_trace.schedule
         for s in self.S_INTERIOR:
             i = int(np.flatnonzero(n9_trace.grid == s)[0])
-            _, v = np.linalg.eigh(hamiltonian_at(sched, s).matrix)
-            element = abs(v[:, 1] @ derivative_at(sched, s).matrix @ v[:, 0])
+            _, v = np.linalg.eigh(schedule_matrix(sched, s))
+            element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
             assert np.abs(n9_trace.ground_weights[i] - v[:, 0] ** 2).max() <= 1e-10
             assert abs(n9_trace.element[i] - element) <= 1e-10
 
