@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping
 
 
@@ -66,11 +67,14 @@ def _check_linear(n: int, values: Iterable[float], what: str) -> tuple[float, ..
 
 
 def _finite(value: float, what: str) -> float:
-    """``value`` as a float; non-numbers, NaN and infinities are rejected, naming the field."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ProblemFormatError(f"{what} must be a number, got {value!r}") from None
+    """``value`` as a float, naming the field when it is rejected.
+
+    Real numbers, numpy scalars among them, are accepted; strings, booleans,
+    None, complex numbers, NaN and infinities are not.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ProblemFormatError(f"{what} must be a number, got {value!r}")
+    x = float(value)
     if not math.isfinite(x):
         raise ProblemFormatError(f"{what} must be finite, got {x}")
     return x

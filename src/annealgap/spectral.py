@@ -1,10 +1,11 @@
 """Instantaneous-spectrum analysis along an annealing schedule.
 
 One grid scan, ``gap_trace``, diagonalizes H(s) once per point and records the
-lowest levels, the E1-E0 gap, the transition element |<E1| dH/ds |E0>| and the
-squared ground-state amplitudes. ``min_gap``, ``detect_anticrossing``,
-``epsilon``, ``overlap_trace`` and ``anticrossing_report`` take that trace as
-their input; a golden-section search refines gap minima below the grid step.
+lowest levels, the E1-E0 gap, the transition element |<E1| dH/ds |E0>|, the
+Hellmann-Feynman gap slope and the squared ground-state amplitudes.
+``min_gap``, ``detect_anticrossing``, ``epsilon``, ``overlap_trace`` and
+``anticrossing_report`` take that trace as their input; a root search on the
+gap slope refines gap minima below the grid step.
 Also here: the eigendecomposition contract, the reciprocal-square time
 estimate and the two-level hyperbola fit near an anti-crossing.
 
@@ -19,10 +20,10 @@ untouched.
 
 Scans and refinements of matrices up to ``SERIAL_BLAS_MAX_DIM`` run on one
 OpenBLAS thread, where a second thread only spins, and then restore the
-library's thread count; they solve the whole spectrum with numpy's ``eigh``
-or ``eigvalsh``. Such a scan solves blocks of grid points as stacks, one
-contiguous run of blocks per usable core, and its results equal those of one
-solve per point bit for bit. Larger matrices are scanned point by point with
+library's thread count; they solve the whole spectrum with numpy's ``eigh``.
+Such a scan solves blocks of grid points as stacks, one contiguous run of
+blocks per usable core, and its results equal those of one solve per point
+bit for bit. Larger matrices are scanned point by point with
 the library's count and LAPACK's ``dsyevr`` from the OpenBLAS numpy bundles,
 which computes only the levels kept, several times faster; without that
 library numpy solves them too.
@@ -64,6 +65,7 @@ SERIAL_BLAS_MAX_DIM = 256
 SCAN_BLOCK_BYTES = 256 << 10
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 # (get threads, set threads, LAPACKE dsyevr, LAPACK integer) per OpenBLAS build:
 # the suffixed scipy-openblas build numpy bundles is ILP64, a plain one LP64.
@@ -157,16 +159,13 @@ def _failure(s: Optional[float], detail: str) -> EigensolverError:
     return EigensolverError(f"eigendecomposition failed{where}: {detail}")
 
 
-def _solve(
-    matrix: np.ndarray, s: Optional[float] = None, vectors: bool = True, *, keep: int
-):
+def _solve(matrix: np.ndarray, s: Optional[float] = None, *, keep: int):
     """The ``keep`` lowest levels, with eigenvectors as columns.
 
     Above ``SERIAL_BLAS_MAX_DIM`` LAPACK's dsyevr computes only the requested
-    levels of one matrix, overwriting ``matrix``; otherwise ``eigh`` or
-    ``eigvalsh`` solves the whole spectrum of a matrix or of a (B, dim, dim)
-    stack, one result per matrix. Any LAPACK failure raises EigensolverError
-    naming s.
+    levels of one matrix, overwriting ``matrix``; otherwise ``eigh`` solves
+    the whole spectrum of a matrix or of a (B, dim, dim) stack, one result per
+    matrix. Any LAPACK failure raises EigensolverError naming s.
     """
     dim = matrix.shape[-1]
     one_large = matrix.ndim == 2 and dim > SERIAL_BLAS_MAX_DIM
@@ -175,21 +174,18 @@ def _solve(
         lapack_int = _SYEVR.restype
         found = lapack_int()
         w = np.empty(dim)
-        v = np.empty((keep, dim)) if vectors else None
+        v = np.empty((keep, dim))
         support = np.empty(2 * keep, dtype=np.dtype(lapack_int))
         # Column-major (102) reads the C-ordered symmetric array unchanged and
         # writes each eigenvector contiguously, as one row of ``v``.
         info = _SYEVR(
-            102, b"V" if vectors else b"N", b"I", b"L", dim, matrix.ctypes.data, dim,
-            0.0, 0.0, 1, keep, 0.0, ctypes.byref(found), w.ctypes.data,
-            None if v is None else v.ctypes.data, dim, support.ctypes.data,
+            102, b"V", b"I", b"L", dim, matrix.ctypes.data, dim, 0.0, 0.0, 1, keep,
+            0.0, ctypes.byref(found), w.ctypes.data, v.ctypes.data, dim, support.ctypes.data,
         )
         if info or found.value != keep:
             raise _failure(s, f"dsyevr returned info={info} with {found.value} of {keep} levels")
-        return (w[:keep], v.T) if vectors else w[:keep]
+        return w[:keep], v.T
     try:
-        if not vectors:
-            return np.linalg.eigvalsh(matrix)[..., :keep]
         w, v = np.linalg.eigh(matrix)
         return w[..., :keep], v[..., :keep]
     except np.linalg.LinAlgError as exc:
@@ -202,8 +198,9 @@ class SpectralTrace:
 
     ``gap`` is E1 - E0 per point, ``levels[:, 1] - levels[:, 0]``, computed
     once at construction. A scanned trace also holds, per point,
-    |<E1| dH/ds |E0>| (``element``) and the squared ground-state amplitudes
-    (``ground_weights``, 2^n per row).
+    |<E1| dH/ds |E0>| (``element``), the squared ground-state amplitudes
+    (``ground_weights``, 2^n per row) and the Hellmann-Feynman gap slope
+    dGap/ds = <E1| dH/ds |E1> - <E0| dH/ds |E0> (``slope``).
     """
 
     grid: np.ndarray
@@ -212,6 +209,7 @@ class SpectralTrace:
     schedule: Optional[ScheduleSpec] = None
     element: Optional[np.ndarray] = None
     ground_weights: Optional[np.ndarray] = None
+    slope: Optional[np.ndarray] = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -276,7 +274,7 @@ def _usable_cores() -> int:
 
 
 def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
-    """Levels, |<E1| dH/ds |E0>| and ground weights at one s or a 1-D block of s.
+    """Levels, |<E1| dH/ds |E0>|, ground weights and gap slope at one s or a 1-D block of s.
 
     A block is assembled and solved as one stack. When its solve fails, the
     block is solved again point by point and built from those results, so
@@ -294,8 +292,10 @@ def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
         return tuple(np.stack(part) for part in zip(*points))
     v0, v1 = v[..., 0], v[..., 1]
     dh = schedule_matrix(sched, s, derivative=True)
-    element = np.abs(v1[..., None, :] @ dh @ v0[..., None])[..., 0, 0]
-    return w, element, v0 ** 2
+    row = v1[..., None, :] @ dh
+    element = np.abs(row @ v0[..., None])[..., 0, 0]
+    slope = (row @ v1[..., None] - v0[..., None, :] @ dh @ v0[..., None])[..., 0, 0]
+    return w, element, v0 ** 2, slope
 
 
 def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
@@ -319,12 +319,15 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
     table = np.empty((len(grid), keep))
     element = np.empty(len(grid))
     weights = np.empty((len(grid), dim))
+    slope = np.empty(len(grid))
 
     def run(part: range) -> None:
         for start in part:
             points = slice(start, start + size)
             s = grid[points] if size > 1 else grid[start]
-            table[points], element[points], weights[points] = _solve_points(sched, s, keep)
+            table[points], element[points], weights[points], slope[points] = (
+                _solve_points(sched, s, keep)
+            )
 
     # With one run the pool stays empty: an executor starts threads on submit.
     with _serial_blas(dim), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
@@ -333,7 +336,7 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
         # Read in grid order, so a failure reports the first failing s.
         for future in later:
             future.result()
-    return SpectralTrace(grid, table, sched, element, weights)
+    return SpectralTrace(grid, table, sched, element, weights, slope)
 
 
 def gap_trace(
@@ -361,58 +364,116 @@ def _check_nondegenerate(trace: SpectralTrace, message: str) -> None:
         raise DegenerateLevelsError(message.format(s=trace.grid[hits[0]]))
 
 
-def _refine(
-    sched: Optional[ScheduleSpec], grid: np.ndarray, gaps: np.ndarray, k: int, s_tol: float
-) -> tuple[float, float]:
-    """Golden-section minimum of the gap between the grid neighbours of index k.
+def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> None:
+    """Narrow a sign change of ``f`` between ``a`` and ``b`` to a bracket of width ``xtol``.
 
-    Returns the best point evaluated, or grid point k itself when no
-    evaluation undercuts its gap or there is no schedule to evaluate.
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): an inverse quadratic or secant step when it stays well inside the
+    bracket and shrinks it fast enough, a bisection otherwise, and never a
+    step shorter than about ``xtol / 2``. ``fa`` and ``fb`` are f(a) and f(b),
+    of opposite signs; the caller keeps what ``f`` saw.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return
+        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
+        if interpolate:
+            r3 = fb / fa
+            if a == c:
+                p, q = 2.0 * half * r3, 1.0 - r3
+            else:
+                q, r = fa / fc, fb / fc
+                p = r3 * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (r3 - 1.0)
+            q = -q if p > 0.0 else q
+            p = abs(p)
+            interpolate = 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q))
+        e, d = (d, p / q) if interpolate else (half, half)
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+
+
+def _golden(f, lo: float, hi: float, xtol: float) -> None:
+    """Golden-section search for a minimum of ``f`` on [lo, hi], down to width ``xtol``.
+
+    The caller keeps what ``f`` saw.
+    """
+    c = hi - _INV_GOLD * (hi - lo)
+    d = lo + _INV_GOLD * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xtol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLD * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLD * (hi - lo)
+            fd = f(d)
+
+
+def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
+    """Minimum of the gap between the grid neighbours of index k, to ``s_tol`` in s.
+
+    When the scanned gap slopes at the two bracket ends are negative and then
+    positive, the minimum is the root of the slope there, and Brent's root
+    search finds it in a few evaluations. Otherwise a golden-section search
+    of the gap shrinks the bracket. Each evaluation solves H(s) once through
+    the scan's ``_solve_points``. Returns the best point evaluated, or grid
+    point k itself when no evaluation undercuts its gap or the trace carries
+    no schedule to evaluate.
     """
     if not (math.isfinite(s_tol) and s_tol > 0):
         raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
-    best_s, best_g = float(grid[k]), float(gaps[k])
+    grid, sched, slopes = trace.grid, trace.schedule, trace.slope
+    best = float(grid[k]), float(trace.gap[k])
     if sched is None:
-        return best_s, best_g
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        return best
+    lo, hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
 
-    def ev(x: float) -> float:
-        nonlocal best_s, best_g
-        w = _solve(schedule_matrix(sched, x), x, vectors=False, keep=2)
-        g = float(w[1] - w[0])
-        if g < best_g:
-            best_s, best_g = float(x), g
-        return g
+    def ev(x: float) -> tuple[float, float]:
+        """Gap and gap slope at x, keeping the smallest gap seen."""
+        nonlocal best
+        w, _, _, slope = _solve_points(sched, x, 2)
+        gap = float(w[1] - w[0])
+        if gap < best[1]:
+            best = float(x), gap
+        return gap, float(slope)
 
     with _serial_blas(1 << sched.n):
-        c = hi - _INV_GOLD * (hi - lo)
-        d = lo + _INV_GOLD * (hi - lo)
-        fc, fd = ev(c), ev(d)
-        while hi - lo > s_tol:
-            if fc < fd:
-                hi, d, fd = d, c, fc
-                c = hi - _INV_GOLD * (hi - lo)
-                fc = ev(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + _INV_GOLD * (hi - lo)
-                fd = ev(d)
-    return best_s, best_g
+        if slopes is not None and slopes[lo] < 0.0 < slopes[hi]:
+            _zeroin(lambda x: ev(x)[1], grid[lo], grid[hi], slopes[lo], slopes[hi], s_tol)
+        else:
+            _golden(lambda x: ev(x)[0], grid[lo], grid[hi], s_tol)
+    return best
 
 
 def min_gap(trace: SpectralTrace, s_tol: float = 1e-6) -> MinGapResult:
     """Locate the minimum of E1(s) - E0(s).
 
-    The smallest traced gap is refined by golden-section search of the
-    bracketing interval down to an s-error of at most ``s_tol``; the refined
-    value never exceeds any scanned gap. ``interior`` is True only when the
-    minimum sits away from the schedule ends and undercuts the endpoint gap
-    by more than ``DEFAULT_UNDERCUT`` (a significant anti-crossing); shallow
-    end-of-schedule minima are reported with interior=False. Refinement
-    falls back to grid values when the trace carries no schedule.
+    The smallest traced gap is refined between its grid neighbours down to an
+    s-error of at most ``s_tol``: by Brent's root search on the scanned gap
+    slope where that slope changes sign across the bracket, by golden-section
+    search otherwise. The refined value never exceeds any scanned gap.
+    ``interior`` is True only when the minimum sits away from the schedule
+    ends and undercuts the endpoint gap by more than ``DEFAULT_UNDERCUT`` (a
+    significant anti-crossing); shallow end-of-schedule minima are reported
+    with interior=False. Refinement falls back to grid values when the trace
+    carries no schedule.
     """
     gaps = trace.gap
-    s_star, delta = _refine(trace.schedule, trace.grid, gaps, int(np.argmin(gaps)), s_tol)
+    s_star, delta = _refine(trace, int(np.argmin(gaps)), s_tol)
     significant = delta < (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
     interior = significant and s_tol < s_star < 1.0 - s_tol
     return MinGapResult(s_star, delta, bool(interior))
@@ -425,13 +486,14 @@ def detect_anticrossing(trace: SpectralTrace, s_tol: float = 1e-6) -> list[AntiC
     refined floor undercuts the smaller endpoint gap by more than
     ``DEFAULT_UNDERCUT``; an empty list means the gap is monotone, minimized
     only at an endpoint, or dips by less than the margin. Refinement
-    re-evaluates the schedule when the trace carries one, and falls back to
-    grid values otherwise.
+    re-evaluates the schedule when the trace carries one, with a root search
+    on the gap slope where it changes sign across the bracket, and falls back
+    to grid values otherwise.
     """
     gaps = trace.gap
     threshold = (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
     minima = [k for k in range(1, len(gaps) - 1) if gaps[k - 1] > gaps[k] < gaps[k + 1]]
-    refined = [_refine(trace.schedule, trace.grid, gaps, k, s_tol) for k in minima]
+    refined = [_refine(trace, k, s_tol) for k in minima]
     return [AntiCrossing(s, g) for s, g in refined if g < threshold]
 
 

@@ -31,6 +31,29 @@ from conftest import (
 )
 
 
+#: (build a problem with one coefficient set to x, the field it names), per field.
+COEFFICIENT_FIELDS = [
+    pytest.param(
+        lambda x: IsingProblem(n=2, J={(0, 1): x}, h=(0, 0)),
+        r"coupling \(0,1\)",
+        id="ising-J",
+    ),
+    pytest.param(lambda x: IsingProblem(n=2, J={}, h=(0, x)), r"h\[1\]", id="ising-h"),
+    pytest.param(
+        lambda x: IsingProblem(n=2, J={}, h=(0, 0), offset=x), "offset", id="ising-offset"
+    ),
+    pytest.param(
+        lambda x: QuboProblem(n=2, Q={(1, 0): x}, b=(0, 0)),
+        r"quadratic \(0,1\)",
+        id="qubo-Q",
+    ),
+    pytest.param(lambda x: QuboProblem(n=2, Q={}, b=(x, 0)), r"b\[0\]", id="qubo-b"),
+    pytest.param(
+        lambda x: QuboProblem(n=2, Q={}, b=(0, 0), offset=x), "offset", id="qubo-offset"
+    ),
+]
+
+
 class TestProblemConstruction:
     def test_self_coupling_rejected(self):
         with pytest.raises(ProblemFormatError, match="self-coupling"):
@@ -66,32 +89,22 @@ class TestProblemConstruction:
             p.offset = 1.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize(
-        "build, field",
-        [
-            pytest.param(
-                lambda x: IsingProblem(n=2, J={(0, 1): x}, h=(0, 0)),
-                r"coupling \(0,1\)",
-                id="ising-J",
-            ),
-            pytest.param(lambda x: IsingProblem(n=2, J={}, h=(0, x)), r"h\[1\]", id="ising-h"),
-            pytest.param(
-                lambda x: IsingProblem(n=2, J={}, h=(0, 0), offset=x), "offset", id="ising-offset"
-            ),
-            pytest.param(
-                lambda x: QuboProblem(n=2, Q={(1, 0): x}, b=(0, 0)),
-                r"quadratic \(0,1\)",
-                id="qubo-Q",
-            ),
-            pytest.param(lambda x: QuboProblem(n=2, Q={}, b=(x, 0)), r"b\[0\]", id="qubo-b"),
-            pytest.param(
-                lambda x: QuboProblem(n=2, Q={}, b=(0, 0), offset=x), "offset", id="qubo-offset"
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("build, field", COEFFICIENT_FIELDS)
     def test_non_finite_coefficient_rejected(self, build, field, bad):
         with pytest.raises(ProblemFormatError, match=field + " must be finite"):
             build(bad)
+
+    @pytest.mark.parametrize("bad", ["1.5", True, False, np.bool_(True), None, 1j])
+    @pytest.mark.parametrize("build, field", COEFFICIENT_FIELDS)
+    def test_non_real_coefficient_rejected(self, build, field, bad):
+        with pytest.raises(ProblemFormatError, match=rf"{field} must be a number, got {bad!r}"):
+            build(bad)
+
+    @pytest.mark.parametrize("good", [np.float64(1.5), np.float32(0.5), np.int64(-2), 3])
+    @pytest.mark.parametrize("build, field", COEFFICIENT_FIELDS)
+    def test_real_scalars_accepted_as_floats(self, build, field, good):
+        # repr tells a stored numpy scalar from a float of the same value
+        assert repr(build(good)) == repr(build(float(good)))
 
 
 class TestSpinAssignment:

@@ -48,11 +48,13 @@ def two_level() -> ScheduleSpec:
     return ScheduleSpec(problem=IsingProblem(n=1, J={}, h=(1.0,)))
 
 
-def chain_schedule(delta_b: float, pivot: int | None = None) -> ScheduleSpec:
+def chain_schedule(
+    delta_b: float, pivot: int | None = None, driver: str = STOQUASTIC
+) -> ScheduleSpec:
     ising = qubo_to_ising(mis_chain(MisChainSpec(delta_b)))
     if pivot is not None:
         ising = transform(ising, pivot)
-    return ScheduleSpec(problem=ising)
+    return ScheduleSpec(problem=ising, driver=driver)
 
 
 def two_level_gap(s: float) -> float:
@@ -417,11 +419,16 @@ def golden_evaluations(width: float, s_tol: float) -> int:
 class TestSingleScan:
     GRID = 101
     S_TOL = 1e-6
+    #: Brent evaluations of the gap slope that narrow the 0.04 chain's
+    #: bracket of two grid steps around its crossing to S_TOL.
+    REFINE = 6
 
     def test_consumers_read_the_trace(self, solve_counts):
         trace = gap_trace(chain_schedule(0.04), self.GRID)
         solve_counts["eigh"] = 0
-        min_gap(trace)
+        min_gap(trace, s_tol=self.S_TOL)
+        assert solve_counts == {"eigh": self.REFINE, "eigvalsh": 0}
+        solve_counts["eigh"] = 0
         overlap_trace(trace)
         assert solve_counts["eigh"] == 0
         epsilon(trace)
@@ -432,13 +439,96 @@ class TestSingleScan:
         trace = gap_trace(chain_schedule(0.04), self.GRID)
         anticrossing_report(trace, s_tol=self.S_TOL)
         overlap_trace(trace, k_max=5)
-        refine = golden_evaluations(2.0 / (self.GRID - 1), self.S_TOL)
-        assert solve_counts == {"eigh": self.GRID + 21, "eigvalsh": refine}
+        assert solve_counts == {"eigh": self.GRID + 21 + self.REFINE, "eigvalsh": 0}
 
     def test_sweep_cell_solve_counts(self, solve_counts):
         _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
-        refine = golden_evaluations(2.0 / (self.GRID - 1), self.S_TOL)
-        assert solve_counts == {"eigh": self.GRID + 21, "eigvalsh": refine}
+        assert solve_counts == {"eigh": self.GRID + 21 + self.REFINE, "eigvalsh": 0}
+
+
+def sweep_schedule(delta_b: float, method: str) -> ScheduleSpec:
+    """The schedule of one ``sweep`` cell."""
+    if method == "nonstoquastic":
+        return chain_schedule(delta_b, driver=NONSTOQUASTIC)
+    if method == "stoquastic":
+        return chain_schedule(delta_b)
+    return chain_schedule(delta_b, pivot=int(method.removeprefix("eltip-k")))
+
+
+def slope_oracle(sched: ScheduleSpec, s: float) -> float:
+    """<E1| dH/ds |E1> - <E0| dH/ds |E0> from numpy's full eigh at s."""
+    _, v = np.linalg.eigh(schedule_matrix(sched, s))
+    dh = schedule_matrix(sched, s, derivative=True)
+    return float(v[:, 1] @ dh @ v[:, 1] - v[:, 0] @ dh @ v[:, 0])
+
+
+def slope_root(sched: ScheduleSpec, lo: float, hi: float, xtol: float = 1e-12) -> float:
+    """The gap minimum between lo and hi, by bisecting the sign of the gap slope."""
+    assert slope_oracle(sched, lo) < 0.0 < slope_oracle(sched, hi)
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if slope_oracle(sched, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestGapSlopeRefiner:
+    S_TOL = 1e-6
+
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    def test_slope_is_the_gap_derivative(self, driver):
+        sched = chain_schedule(0.04, driver=driver)
+        trace = gap_trace(sched, 21)
+
+        def gap(s: float) -> float:
+            w = np.linalg.eigvalsh(schedule_matrix(sched, s))
+            return w[1] - w[0]
+
+        h = 3e-5  # five-point central difference: truncation and rounding below 1e-8
+        for s, slope in zip(trace.grid[1:-1], trace.slope[1:-1]):
+            diff = (gap(s - 2 * h) - 8 * gap(s - h) + 8 * gap(s + h) - gap(s + 2 * h)) / (12 * h)
+            assert diff == pytest.approx(slope, rel=1e-6)
+
+    @pytest.mark.parametrize("method", cli.SWEEP_METHODS)
+    @pytest.mark.parametrize("delta_b", [0.01, 0.04])
+    def test_sweep_cells_land_on_the_slope_root(self, delta_b, method, solve_counts):
+        sched = sweep_schedule(delta_b, method)
+        trace = gap_trace(sched, 2001)
+        k = int(np.argmin(trace.gap))
+        solve_counts["eigh"] = 0
+        located = min_gap(trace, s_tol=self.S_TOL)
+        assert solve_counts["eigh"] <= 5
+        root = slope_root(sched, trace.grid[max(k - 1, 0)], trace.grid[min(k + 1, 2000)])
+        # The hyperbola residual of the stoquastic 0.04 report moves by about
+        # 0.025 x the shift of s*, so that cell needs s* far closer than s_tol.
+        tol = 2e-8 if (delta_b, method) == (0.04, "stoquastic") else self.S_TOL
+        assert abs(located.s_star - root) <= tol
+        assert located.delta_min <= trace.gap.min()
+
+    def test_golden_fallback_without_a_slope_sign_change(self, solve_counts):
+        # On five points the 0.04 non-stoquastic gap rises at both ends of the
+        # bracket [0.5, 1] around its crossing near s = 0.7595.
+        sched = chain_schedule(0.04, driver=NONSTOQUASTIC)
+        trace = gap_trace(sched, 5)
+        k = int(np.argmin(trace.gap))
+        assert (k, trace.slope[k - 1] > 0.0, trace.slope[k + 1] > 0.0) == (3, True, True)
+        solve_counts["eigh"] = 0
+        located = min_gap(trace, s_tol=self.S_TOL)
+        assert solve_counts == {"eigh": golden_evaluations(0.5, self.S_TOL), "eigvalsh": 0}
+        assert abs(located.s_star - slope_root(sched, 0.75, 0.77)) <= self.S_TOL
+        assert located.interior
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        problem=ising_problems(max_n=5),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        grid=st.integers(2, 40),
+    )
+    def test_refined_gap_never_exceeds_the_scan(self, problem, driver, grid):
+        trace = gap_trace(ScheduleSpec(problem=problem, driver=driver), grid)
+        assert min_gap(trace, s_tol=self.S_TOL).delta_min <= trace.gap.min()
 
 
 def random_schedule(n: int) -> ScheduleSpec:
@@ -745,7 +835,7 @@ class TestLowestLevels:
     def test_read_only_input_left_intact(self, syevr):
         h = hamiltonian_at(dense_n9(), 0.5).matrix
         before = h.copy()
-        w = spectral._solve(h, 0.5, vectors=False, keep=2)
+        w, _ = spectral._solve(h, 0.5, keep=2)
         assert np.array_equal(h, before)
         assert np.abs(w - np.linalg.eigvalsh(before)[:2]).max() <= 1e-11
 
@@ -788,7 +878,7 @@ class TestLapackeFailure:
         none_found.restype = syevr.restype
         monkeypatch.setattr(spectral, "_SYEVR", none_found)
         with pytest.raises(EigensolverError, match=r"at s=0\.5: .* 0 of 2 levels"):
-            spectral._solve(schedule_matrix(dense_n9(), 0.5), 0.5, vectors=False, keep=2)
+            spectral._solve(schedule_matrix(dense_n9(), 0.5), 0.5, keep=2)
 
     def test_cli_exit_code(self, syevr, monkeypatch, tmp_path, capsys):
         path = tmp_path / "n9.json"
