@@ -110,6 +110,11 @@ class ScheduleSpec:
     driver: str = STOQUASTIC
 
     def __post_init__(self):
+        if not isinstance(self.problem, IsingProblem):
+            raise TypeError(
+                f"ScheduleSpec needs an IsingProblem, got {type(self.problem).__name__}; "
+                "convert a QUBO with qubo_to_ising first"
+            )
         if self.driver not in (STOQUASTIC, NONSTOQUASTIC):
             raise ValueError(f"unknown driver {self.driver!r}")
         _check_cap(self.problem.n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import EigensolverError, SpectralTrace, _check_nondegenerate, _scanned
+from .spectral import EigensolverError, SpectralTrace, _check_nondegenerate
 
 #: Normalization of the tracked ground state must hold to this tolerance.
 NORMALIZATION_TOL = 1e-10
@@ -30,10 +30,6 @@ class OverlapTrace:
     labels: np.ndarray
     norm: np.ndarray
 
-    def __post_init__(self):
-        if self.weights.shape != (len(self.grid), len(self.labels)):
-            raise ValueError("weights shape must be (grid points, tracked states)")
-
 
 def overlap_trace(trace: SpectralTrace, k_max: int = 5) -> OverlapTrace:
     """Track a_k(s) = |<E_k(1)|E_0(s)>|^2 for k = 0..k_max on the trace's grid.
@@ -44,7 +40,7 @@ def overlap_trace(trace: SpectralTrace, k_max: int = 5) -> OverlapTrace:
     reported as an error with the offending s, since its overlaps are
     basis-dependent.
     """
-    sched = _scanned(trace, "overlap_trace")
+    sched = trace.schedule
     dim = 1 << sched.n
     if not 0 <= k_max < dim:
         raise ValueError(f"k_max must lie in [0, {dim - 1}], got {k_max}")

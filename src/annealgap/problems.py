@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Mapping
 
 
@@ -38,13 +38,12 @@ def _normalize_quadratic(
 ) -> dict[tuple[int, int], float]:
     """Validate and canonicalize a quadratic coefficient map.
 
-    Keys are normalized to i < j, exact zeros are dropped, self-couplings and
-    duplicate (i, j)/(j, i) pairs are rejected.
+    Keys are normalized to i < j, exact zeros are dropped, non-integer
+    indices, self-couplings and duplicate (i, j)/(j, i) pairs are rejected.
     """
     out: dict[tuple[int, int], float] = {}
     for key, value in entries.items():
-        i, j = key
-        i, j = int(i), int(j)
+        i, j = (_integer(index, f"{what} index in {key!r}") for index in key)
         if i == j:
             raise ProblemFormatError(f"self-coupling ({i},{j}) is not allowed")
         if not (0 <= i < n and 0 <= j < n):
@@ -64,6 +63,25 @@ def _check_linear(n: int, values: Iterable[float], what: str) -> tuple[float, ..
     if len(vec) != n:
         raise ProblemFormatError(f"{what} must have length n={n}, got {len(vec)}")
     return vec
+
+
+def _integer(value: int, what: str) -> int:
+    """``value`` as an int, naming the field when it is rejected.
+
+    Integers, numpy ones among them, are accepted; booleans, floats and
+    strings are not, so nothing is truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ProblemFormatError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _count(n: int, what: str) -> int:
+    """A positive integer size, naming the field when it is rejected."""
+    n = _integer(n, what)
+    if n < 1:
+        raise ProblemFormatError(f"{what} must be >= 1, got {n}")
+    return n
 
 
 def _finite(value: float, what: str) -> float:
@@ -102,8 +120,7 @@ class IsingProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ProblemFormatError(f"spin count must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, "spin count"))
         object.__setattr__(self, "J", _normalize_quadratic(self.n, self.J, "coupling"))
         object.__setattr__(self, "h", _check_linear(self.n, self.h or (0.0,) * self.n, "h"))
         object.__setattr__(self, "offset", _finite(self.offset, "offset"))
@@ -137,8 +154,7 @@ class QuboProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ProblemFormatError(f"variable count must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, "variable count"))
         object.__setattr__(self, "Q", _normalize_quadratic(self.n, self.Q, "quadratic"))
         object.__setattr__(self, "b", _check_linear(self.n, self.b or (0.0,) * self.n, "b"))
         object.__setattr__(self, "offset", _finite(self.offset, "offset"))
@@ -219,6 +235,7 @@ class MisChainSpec:
     coupling: float = 6.08
 
     def __post_init__(self):
+        object.__setattr__(self, "delta_b", _finite(self.delta_b, "delta_b"))
         if self.delta_b < 0:
             raise ProblemFormatError(f"delta_b must be >= 0, got {self.delta_b}")
 

@@ -194,37 +194,26 @@ def _solve(matrix: np.ndarray, s: Optional[float] = None, *, keep: int):
 
 @dataclass(frozen=True)
 class SpectralTrace:
-    """Lowest levels on an ascending grid of s values.
+    """What ``gap_trace`` scanned: the lowest levels of H(s) on an ascending grid.
 
-    ``gap`` is E1 - E0 per point, ``levels[:, 1] - levels[:, 0]``, computed
-    once at construction. A scanned trace also holds, per point,
-    |<E1| dH/ds |E0>| (``element``), the squared ground-state amplitudes
-    (``ground_weights``, 2^n per row) and the Hellmann-Feynman gap slope
-    dGap/ds = <E1| dH/ds |E1> - <E0| dH/ds |E0> (``slope``).
+    Per grid point it holds the ascending ``levels``, |<E1| dH/ds |E0>|
+    (``element``), the squared ground-state amplitudes (``ground_weights``,
+    2^n per row) and the Hellmann-Feynman gap slope
+    dGap/ds = <E1| dH/ds |E1> - <E0| dH/ds |E0> (``slope``). ``gap`` is
+    E1 - E0 per point, ``levels[:, 1] - levels[:, 0]``, computed once at
+    construction.
     """
 
     grid: np.ndarray
     levels: np.ndarray
+    schedule: ScheduleSpec
+    element: np.ndarray
+    ground_weights: np.ndarray
+    slope: np.ndarray
     gap: np.ndarray = field(init=False)
-    schedule: Optional[ScheduleSpec] = None
-    element: Optional[np.ndarray] = None
-    ground_weights: Optional[np.ndarray] = None
-    slope: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        levels = np.asarray(self.levels, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2:
-            raise ValueError("trace grid must hold at least two points")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("trace grid must be strictly ascending")
-        if levels.ndim != 2 or levels.shape[0] != len(grid) or levels.shape[1] < 2:
-            raise ValueError("levels must have one row per grid point and >= 2 columns")
-        if np.any(np.diff(levels, axis=1) < 0):
-            raise ValueError("levels must be ascending at every grid point")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "gap", levels[:, 1] - levels[:, 0])
+        object.__setattr__(self, "gap", self.levels[:, 1] - self.levels[:, 0])
 
 
 class MinGapResult(NamedTuple):
@@ -349,13 +338,6 @@ def gap_trace(
     return _scan(sched, np.linspace(0.0, 1.0, grid_points), keep)
 
 
-def _scanned(trace: SpectralTrace, caller: str) -> ScheduleSpec:
-    """The schedule of a trace scanned by gap_trace; ValueError for a hand-built one."""
-    if trace.schedule is None or trace.element is None or trace.ground_weights is None:
-        raise ValueError(f"{caller} needs a trace scanned by gap_trace")
-    return trace.schedule
-
-
 def _check_nondegenerate(trace: SpectralTrace, message: str) -> None:
     """Raise DegenerateLevelsError at the first grid point where E0 and E1 coincide."""
     scale = np.maximum(1.0, np.abs(trace.levels).max(axis=1))
@@ -431,15 +413,12 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
     search finds it in a few evaluations. Otherwise a golden-section search
     of the gap shrinks the bracket. Each evaluation solves H(s) once through
     the scan's ``_solve_points``. Returns the best point evaluated, or grid
-    point k itself when no evaluation undercuts its gap or the trace carries
-    no schedule to evaluate.
+    point k itself when no evaluation undercuts its gap.
     """
     if not (math.isfinite(s_tol) and s_tol > 0):
         raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
     grid, sched, slopes = trace.grid, trace.schedule, trace.slope
     best = float(grid[k]), float(trace.gap[k])
-    if sched is None:
-        return best
     lo, hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
 
     def ev(x: float) -> tuple[float, float]:
@@ -452,7 +431,7 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
         return gap, float(slope)
 
     with _serial_blas(1 << sched.n):
-        if slopes is not None and slopes[lo] < 0.0 < slopes[hi]:
+        if slopes[lo] < 0.0 < slopes[hi]:
             _zeroin(lambda x: ev(x)[1], grid[lo], grid[hi], slopes[lo], slopes[hi], s_tol)
         else:
             _golden(lambda x: ev(x)[0], grid[lo], grid[hi], s_tol)
@@ -469,8 +448,7 @@ def min_gap(trace: SpectralTrace, s_tol: float = 1e-6) -> MinGapResult:
     ``interior`` is True only when the minimum sits away from the schedule
     ends and undercuts the endpoint gap by more than ``DEFAULT_UNDERCUT`` (a
     significant anti-crossing); shallow end-of-schedule minima are reported
-    with interior=False. Refinement falls back to grid values when the trace
-    carries no schedule.
+    with interior=False.
     """
     gaps = trace.gap
     s_star, delta = _refine(trace, int(np.argmin(gaps)), s_tol)
@@ -485,10 +463,7 @@ def detect_anticrossing(trace: SpectralTrace, s_tol: float = 1e-6) -> list[AntiC
     A strict interior local minimum of the traced gap qualifies only when its
     refined floor undercuts the smaller endpoint gap by more than
     ``DEFAULT_UNDERCUT``; an empty list means the gap is monotone, minimized
-    only at an endpoint, or dips by less than the margin. Refinement
-    re-evaluates the schedule when the trace carries one, with a root search
-    on the gap slope where it changes sign across the bracket, and falls back
-    to grid values otherwise.
+    only at an endpoint, or dips by less than the margin.
     """
     gaps = trace.gap
     threshold = (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
@@ -509,13 +484,12 @@ def epsilon(trace: SpectralTrace) -> float:
     Raises DegenerateLevelsError when E0 and E1 coincide at an evaluation
     point, where the matrix element is not basis-independent.
     """
-    sched = _scanned(trace, "epsilon")
     degenerate = "E0 and E1 are degenerate at s={s}; transition element undefined"
     _check_nondegenerate(trace, degenerate)
     grid = trace.grid
     i = int(np.argmax(trace.element))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    fine = _scan(sched, np.linspace(lo, hi, 21), 2)
+    fine = _scan(trace.schedule, np.linspace(lo, hi, 21), 2)
     _check_nondegenerate(fine, degenerate)
     return float(max(trace.element[i], fine.element.max()))
 

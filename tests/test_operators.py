@@ -287,6 +287,11 @@ class TestScheduleSpec:
         with pytest.raises(ValueError, match="driver"):
             ScheduleSpec(problem=IsingProblem(n=1, J={}, h=(1.0,)), driver="diabatic")
 
+    def test_qubo_rejected(self):
+        qubo = mis_chain(MisChainSpec(0.04))
+        with pytest.raises(TypeError, match="got QuboProblem; convert a QUBO with qubo_to_ising"):
+            ScheduleSpec(problem=qubo)
+
     def test_cap_applies_to_schedule(self):
         with pytest.raises(ValueError, match="at most 14"):
             ScheduleSpec(problem=IsingProblem(n=15, J={}, h=(0,) * 15))

@@ -54,6 +54,19 @@ COEFFICIENT_FIELDS = [
 ]
 
 
+#: (build a 3-variable problem from a quadratic map, the field it names), per form.
+QUADRATIC_FIELDS = [
+    pytest.param(lambda quad: IsingProblem(n=3, J=quad), "coupling", id="ising"),
+    pytest.param(lambda quad: QuboProblem(n=3, Q=quad), "quadratic", id="qubo"),
+]
+
+#: (build a problem of size n, the field it names), per form.
+SIZE_FIELDS = [
+    pytest.param(lambda n: IsingProblem(n=n), "spin count", id="ising"),
+    pytest.param(lambda n: QuboProblem(n=n), "variable count", id="qubo"),
+]
+
+
 class TestProblemConstruction:
     def test_self_coupling_rejected(self):
         with pytest.raises(ProblemFormatError, match="self-coupling"):
@@ -105,6 +118,43 @@ class TestProblemConstruction:
     def test_real_scalars_accepted_as_floats(self, build, field, good):
         # repr tells a stored numpy scalar from a float of the same value
         assert repr(build(good)) == repr(build(float(good)))
+
+    @pytest.mark.parametrize("bad", [0.9, 2.0, "0", True, np.bool_(False), None])
+    @pytest.mark.parametrize("build, field", QUADRATIC_FIELDS)
+    def test_non_integer_index_rejected(self, build, field, bad):
+        # int() would have truncated 0.9 to 0 and taken True for 1
+        with pytest.raises(
+            ProblemFormatError, match=rf"{field} index in .* must be an integer, got {bad!r}"
+        ):
+            build({(bad, 2): 1.0})
+
+    @pytest.mark.parametrize("build, field", QUADRATIC_FIELDS)
+    def test_numpy_integer_indices_accepted(self, build, field):
+        p = build({(np.int64(2), np.int32(0)): 1.5})
+        assert repr(p) == repr(build({(0, 2): 1.5}))
+
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [
+            (True, "an integer, got True"),
+            (2.5, r"an integer, got 2\.5"),
+            (3.0, r"an integer, got 3\.0"),
+            ("3", "an integer, got '3'"),
+            (None, "an integer, got None"),
+            (0, ">= 1, got 0"),
+            (np.int64(-2), ">= 1, got -2"),
+        ],
+    )
+    @pytest.mark.parametrize("build, field", SIZE_FIELDS)
+    def test_bad_size_rejected(self, build, field, bad, fault):
+        # int() would have taken True as one spin
+        with pytest.raises(ProblemFormatError, match=f"{field} must be {fault}"):
+            build(bad)
+
+    @pytest.mark.parametrize("build, field", SIZE_FIELDS)
+    def test_numpy_integer_size_accepted(self, build, field):
+        p = build(np.int64(3))
+        assert type(p.n) is int and repr(p) == repr(build(3))
 
 
 class TestSpinAssignment:
@@ -263,6 +313,20 @@ class TestMisChain:
     def test_negative_delta_b_rejected(self):
         with pytest.raises(ProblemFormatError):
             MisChainSpec(-0.01)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "delta_b must be finite, got nan"),
+            (float("inf"), "delta_b must be finite, got inf"),
+            ("x", "delta_b must be a number, got 'x'"),
+            (None, "delta_b must be a number, got None"),
+            (True, "delta_b must be a number, got True"),
+        ],
+    )
+    def test_non_finite_delta_b_rejected(self, bad, message):
+        with pytest.raises(ProblemFormatError, match=message):
+            MisChainSpec(bad)
 
     def test_coupling_parameter(self):
         p = mis_chain(MisChainSpec(0.04, coupling=3.0))

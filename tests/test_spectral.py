@@ -57,6 +57,11 @@ def chain_schedule(
     return ScheduleSpec(problem=ising, driver=driver)
 
 
+def interior_minima(gap: np.ndarray) -> list[int]:
+    """Indices of the strict interior local minima of a traced gap."""
+    return [k for k in range(1, len(gap) - 1) if gap[k - 1] > gap[k] < gap[k + 1]]
+
+
 def two_level_gap(s: float) -> float:
     return 2.0 * math.sqrt((1 - s) ** 2 + s * s)
 
@@ -126,21 +131,6 @@ class TestGapTrace:
     def test_gap_is_difference_of_lowest_levels(self):
         trace = gap_trace(chain_schedule(0.04), 201)
         assert np.array_equal(trace.gap, trace.levels[:, 1] - trace.levels[:, 0])
-
-    @pytest.mark.parametrize(
-        "grid, levels, message",
-        [
-            pytest.param([0.0], [[0.0, 1.0]], "at least two points", id="one-point"),
-            pytest.param([0.0, 0.0], [[0.0, 1.0]] * 2, "strictly ascending", id="repeated-s"),
-            pytest.param([0.0, 1.0], [0.0, 1.0], "one row per grid point", id="1d-levels"),
-            pytest.param([0.0, 1.0], [[0.0]] * 2, ">= 2 columns", id="one-level"),
-            pytest.param([0.0, 1.0], [[0.0, 1.0]] * 3, "one row per grid point", id="extra-row"),
-            pytest.param([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], "ascending at every", id="unsorted"),
-        ],
-    )
-    def test_invalid_trace_rejected(self, grid, levels, message):
-        with pytest.raises(ValueError, match=message):
-            SpectralTrace(np.array(grid), np.array(levels))
 
     def test_transform_preserves_final_levels_only(self):
         base = gap_trace(chain_schedule(0.04), 41)
@@ -217,9 +207,9 @@ class TestDetectAnticrossing:
         assert found[0].gap == pytest.approx(SQRT2, abs=1e-9)
 
     def test_monotone_trace_empty(self):
-        grid = np.linspace(0, 1, 50)
-        levels = np.column_stack([-grid, 2.0 - 2.0 * grid])
-        trace = SpectralTrace(grid, levels)
+        # the pivot-2 transform of the 0.01 chain narrows to its final gap without a dip
+        trace = gap_trace(chain_schedule(0.01, pivot=2), 2001)
+        assert interior_minima(trace.gap) == []
         assert detect_anticrossing(trace) == []
 
     def test_chain_has_exactly_one(self):
@@ -233,22 +223,21 @@ class TestDetectAnticrossing:
         assert found == []
 
     def test_insignificant_dip_filtered_without_schedule(self):
-        # a mid-schedule valley that stays above the final gap is not an
-        # anti-crossing, however pronounced it looks locally
-        grid = np.linspace(0, 1, 101)
-        gap = 2.0 - 1.5 * grid - 0.05 * np.exp(-((grid - 0.4) ** 2) / 0.001)
-        levels = np.column_stack([np.zeros_like(grid), gap])
-        trace = SpectralTrace(grid, levels)
+        # the pivot-0 transform of the 0.04 chain has two strict interior
+        # minima, neither undercutting the final gap by the 1% margin
+        trace = gap_trace(chain_schedule(0.04, pivot=0), 2001)
+        assert len(interior_minima(trace.gap)) == 2
         assert detect_anticrossing(trace) == []
 
     def test_significant_dip_detected_without_schedule(self):
-        grid = np.linspace(0, 1, 101)
-        gap = 1.0 - 0.9 * np.exp(-((grid - 0.6) ** 2) / 0.01)
-        levels = np.column_stack([np.zeros_like(grid), gap])
-        trace = SpectralTrace(grid, levels)
+        # the non-stoquastic 0.04 chain: a shallow dip near s = 0.455 and a
+        # real anti-crossing near s = 0.7595
+        trace = gap_trace(chain_schedule(0.04, driver=NONSTOQUASTIC), 2001)
+        assert len(interior_minima(trace.gap)) == 2
         found = detect_anticrossing(trace)
         assert len(found) == 1
-        assert found[0].s == pytest.approx(0.6, abs=0.01)
+        assert found[0].s == pytest.approx(0.75948, abs=1e-5)
+        assert found[0].gap == pytest.approx(7.5779e-3, rel=1e-4)
 
     @pytest.mark.parametrize("s_tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, s_tol):
@@ -288,15 +277,6 @@ class TestEpsilon:
         with pytest.raises(DegenerateLevelsError, match="s=1.0"):
             epsilon(gap_trace(sched, 101))
 
-    def test_hand_built_trace_rejected(self):
-        grid = np.linspace(0, 1, 11)
-        levels = np.column_stack([-grid, 2.0 - grid])
-        trace = SpectralTrace(grid, levels)
-        with pytest.raises(ValueError, match="epsilon needs a trace scanned by gap_trace"):
-            epsilon(trace)
-        with pytest.raises(ValueError, match="overlap_trace needs a trace scanned"):
-            overlap_trace(trace)
-
 
 class TestTApprox:
     def test_reference_values(self):
@@ -327,18 +307,17 @@ class TestFitHyperbola:
         assert fit.residual <= 1e-9
 
     def test_synthetic_recovery(self):
-        a_true, b_true, center, delta = 3.2, 0.7, -2.0, 0.01
-        grid = np.linspace(0.4, 0.6, 401)
-        x = grid - 0.5
-        half = 0.5 * np.sqrt(delta**2 + a_true**2 * x**2)
-        lower = center + b_true * x - half
-        upper = center + b_true * x + half
-        trace = SpectralTrace(grid, np.column_stack([lower, upper]))
-        fit = fit_hyperbola(trace, 0.5, delta, window=0.1)
-        assert fit.a == pytest.approx(a_true, abs=1e-6)
-        assert fit.b == pytest.approx(b_true, abs=1e-6)
-        assert fit.e_center == pytest.approx(center, abs=1e-6)
-        assert fit.residual <= 1e-9
+        # H(s) = (1-s) X + s (Z + c): levels s c +- sqrt(1/2 + 2 (s - 1/2)^2),
+        # a hyperbola with A = 2 sqrt(2), B = c and E(s*) = c / 2
+        for offset in (0.7, -2.0):
+            sched = ScheduleSpec(problem=IsingProblem(n=1, h=(1.0,), offset=offset))
+            trace = gap_trace(sched, 2001)
+            result = min_gap(trace)
+            fit = fit_hyperbola(trace, result.s_star, result.delta_min)
+            assert fit.a == pytest.approx(2.0 * SQRT2, abs=1e-12)
+            assert fit.b == pytest.approx(offset, abs=1e-12)
+            assert fit.e_center == pytest.approx(offset / 2.0, abs=1e-12)
+            assert fit.residual <= 1e-14
 
     def test_window_too_small(self):
         trace = gap_trace(two_level(), 101)
@@ -897,12 +876,13 @@ class TestLapackeFailure:
 
 class TestDegeneracyScale:
     @staticmethod
-    def trace(energy: float) -> SpectralTrace:
-        levels = np.array([[energy, energy + 5e-9], [energy, energy + 1.0]])
-        return SpectralTrace(np.array([0.0, 1.0]), levels)
+    def trace(offset: float) -> SpectralTrace:
+        # E1 - E0 = 5e-9 at s = 1, at energy scale |offset|
+        sched = ScheduleSpec(problem=IsingProblem(n=1, h=(2.5e-9,), offset=offset))
+        return gap_trace(sched, 2)
 
     def test_gap_below_scaled_tolerance_is_degenerate(self):
-        with pytest.raises(DegenerateLevelsError, match=r"s=0\.0"):
+        with pytest.raises(DegenerateLevelsError, match=r"s=1\.0"):
             spectral._check_nondegenerate(self.trace(-1e4), "degenerate at s={s}")
 
     def test_same_gap_at_unit_scale_is_resolved(self):
