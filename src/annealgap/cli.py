@@ -15,6 +15,8 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from .eltip import back_map, transform
 from .operators import NONSTOQUASTIC, STOQUASTIC, ScheduleSpec
 from .overlaps import overlap_trace
@@ -36,8 +38,8 @@ from .spectral import (
     DegenerateLevelsError,
     EigensolverError,
     FitWindowError,
-    anticrossing_report,
     epsilon,
+    fit_hyperbola,
     gap_trace,
     min_gap,
     t_approx,
@@ -46,15 +48,12 @@ from .spectral import (
 DRIVER_TOKENS = {"stoq": STOQUASTIC, "nonstoq": NONSTOQUASTIC}
 
 SWEEP_DELTA_BS = (0.01, 0.02, 0.04, 0.06, 0.08)
-SWEEP_METHODS = (
-    "stoquastic",
-    "nonstoquastic",
-    "eltip-k0",
-    "eltip-k1",
-    "eltip-k2",
-    "eltip-k3",
-    "eltip-k4",
-)
+#: Sweep methods in output order: name -> (driver, ELTIP pivot or None).
+SWEEP_METHODS = {
+    "stoquastic": (STOQUASTIC, None),
+    "nonstoquastic": (NONSTOQUASTIC, None),
+    **{f"eltip-k{k}": (STOQUASTIC, k) for k in range(5)},
+}
 
 SUMMARY_HEADER = (
     "delta_b,method,s_star,delta_min,t_approx,epsilon,interior,ratio_vs_stoq,error"
@@ -110,11 +109,23 @@ def _as_ising(problem) -> IsingProblem:
     return problem if isinstance(problem, IsingProblem) else qubo_to_ising(problem)
 
 
+def _schedule(ising: IsingProblem, driver: str, pivot) -> ScheduleSpec:
+    """The schedule of ``ising`` under ``driver``, after the pivot transform when one is given."""
+    if pivot is not None:
+        ising = transform(ising, pivot)
+    return ScheduleSpec(problem=ising, driver=driver)
+
+
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_table(path, header: list[str], table) -> None:
+    """A numeric table as CSV, formatted one row at a time."""
+    _write_csv(path, header, ([_fmt(v) for v in row.tolist()] for row in table))
 
 
 def cmd_convert(args) -> int:
@@ -151,57 +162,45 @@ def cmd_backmap(args) -> int:
 
 def cmd_analyze(args) -> int:
     problem = load_problem(args.problem)
-    ising = _as_ising(problem)
-    if args.k is not None:
-        ising = transform(ising, args.k)
     driver = DRIVER_TOKENS[args.driver]
-    sched = ScheduleSpec(problem=ising, driver=driver)
-    k_max = min(5, (1 << ising.n) - 1)
+    sched = _schedule(_as_ising(problem), driver, args.k)
+    k_max = min(5, (1 << sched.n) - 1)
     trace = gap_trace(sched, args.grid, args.levels)
-    report = anticrossing_report(trace, s_tol=args.s_tol)
+    located = min_gap(trace, s_tol=args.s_tol)
+    eps = epsilon(trace)
+    fit = fit_hyperbola(trace, located.s_star, located.delta_min) if located.interior else None
+    t_est = t_approx(located.delta_min)
     overlaps = overlap_trace(trace, k_max=k_max)
 
     level_count = trace.levels.shape[1]
-    gap_rows = (
-        [_fmt(trace.grid[i])]
-        + [_fmt(v) for v in trace.levels[i]]
-        + [_fmt(trace.gap[i])]
-        for i in range(len(trace.grid))
-    )
-    _write_csv(
+    _write_table(
         f"{args.out}gaps.csv",
         ["s"] + [f"E{k}" for k in range(level_count)] + ["gap"],
-        gap_rows,
+        np.column_stack([trace.grid, trace.levels, trace.gap]),
     )
-    overlap_rows = (
-        [_fmt(overlaps.grid[i])] + [_fmt(v) for v in overlaps.weights[i]]
-        for i in range(len(overlaps.grid))
-    )
-    _write_csv(
+    _write_table(
         f"{args.out}overlaps.csv",
         ["s"] + [f"a{k}" for k in range(k_max + 1)],
-        overlap_rows,
+        np.column_stack([overlaps.grid, overlaps.weights]),
     )
     doc = {
-        "s_star": _round12(report.s_star),
-        "delta_min": _round12(report.delta_min),
-        "t_approx": _round12(report.t_approx),
-        "epsilon": _round12(report.epsilon),
-        "interior": report.interior,
-        "hyperbola": None
-        if report.hyperbola is None
-        else {
-            "A": _round12(report.hyperbola.a),
-            "B": _round12(report.hyperbola.b),
-            "E_center": _round12(report.hyperbola.e_center),
-            "residual": _round12(report.hyperbola.residual),
+        "s_star": _round12(located.s_star),
+        "delta_min": _round12(located.delta_min),
+        "t_approx": _round12(t_est),
+        "epsilon": _round12(eps),
+        "interior": located.interior,
+        "hyperbola": None if fit is None else {
+            "A": _round12(fit.a),
+            "B": _round12(fit.b),
+            "E_center": _round12(fit.e_center),
+            "residual": _round12(fit.residual),
         },
         "problem": str(args.problem),
         "problem_form": form_of(problem),
         "k": args.k,
         "driver": driver,
         "lambda_path": "linear" if driver == NONSTOQUASTIC else None,
-        "normalizer": ising.n if driver == NONSTOQUASTIC else None,
+        "normalizer": sched.n if driver == NONSTOQUASTIC else None,
         "grid": args.grid,
         "s_tol": args.s_tol,
         "levels": level_count,
@@ -210,33 +209,22 @@ def cmd_analyze(args) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
-        f"s_star={_fmt(report.s_star)} delta_min={_fmt(report.delta_min)} "
-        f"t_approx={_fmt(report.t_approx)} interior={str(report.interior).lower()}"
+        f"s_star={_fmt(located.s_star)} delta_min={_fmt(located.delta_min)} "
+        f"t_approx={_fmt(t_est)} interior={str(located.interior).lower()}"
     )
     return 0
 
 
-def _sweep_cell(delta_b: float, method: str, grid: int, s_tol: float) -> dict:
+def _sweep_cell(delta_b: float, method: str, grid: int, s_tol: float) -> tuple:
+    """Minimum gap, time estimate and epsilon of one chain instance under one method.
+
+    Raises whatever fails; ``t_approx`` comes before ``epsilon``, so a
+    non-positive minimum gap is reported as such.
+    """
     ising = qubo_to_ising(mis_chain(MisChainSpec(delta_b)))
-    if method == "stoquastic":
-        sched = ScheduleSpec(problem=ising, driver=STOQUASTIC)
-    elif method == "nonstoquastic":
-        sched = ScheduleSpec(problem=ising, driver=NONSTOQUASTIC)
-    else:
-        pivot = int(method.removeprefix("eltip-k"))
-        sched = ScheduleSpec(problem=transform(ising, pivot), driver=STOQUASTIC)
-    trace = gap_trace(sched, grid)
+    trace = gap_trace(_schedule(ising, *SWEEP_METHODS[method]), grid)
     located = min_gap(trace, s_tol=s_tol)
-    return {
-        "delta_b": delta_b,
-        "method": method,
-        "s_star": located.s_star,
-        "delta_min": located.delta_min,
-        "t_approx": t_approx(located.delta_min),
-        "epsilon": epsilon(trace),
-        "interior": located.interior,
-        "error": "",
-    }
+    return located, t_approx(located.delta_min), epsilon(trace)
 
 
 def cmd_sweep(args) -> int:
@@ -251,15 +239,11 @@ def cmd_sweep(args) -> int:
     cells = [(db, method) for db in args.delta_b for method in methods]
 
     def run_cell(cell):
-        db, method = cell
+        """The cell's results, or its error as text."""
         try:
-            return _sweep_cell(db, method, args.grid, args.s_tol)
+            return _sweep_cell(*cell, args.grid, args.s_tol)
         except Exception as exc:
-            return {
-                "delta_b": db,
-                "method": method,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+            return f"{type(exc).__name__}: {exc}"
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -267,35 +251,22 @@ def cmd_sweep(args) -> int:
     else:
         results = [run_cell(cell) for cell in cells]
 
-    stoq_times = {
-        row["delta_b"]: row["t_approx"]
-        for row in results
-        if row["method"] == "stoquastic" and not row["error"]
-    }
+    done = [(cell, result) for cell, result in zip(cells, results) if not isinstance(result, str)]
+    stoq_times = {db: t_est for (db, method), (_, t_est, _) in done if method == "stoquastic"}
     rows = []
-    for row in results:
-        if row["error"]:
-            rows.append(
-                [_fmt(row["delta_b"]), row["method"], "", "", "", "", "", "", row["error"]]
-            )
+    for (db, method), result in zip(cells, results):
+        if isinstance(result, str):
+            rows.append([_fmt(db), method] + [""] * 6 + [result])
             continue
-        base = stoq_times.get(row["delta_b"])
-        ratio = _fmt(base / row["t_approx"]) if base is not None else ""
+        located, t_est, eps = result
+        base = stoq_times.get(db)
+        numbers = (located.s_star, located.delta_min, t_est, eps)
         rows.append(
-            [
-                _fmt(row["delta_b"]),
-                row["method"],
-                _fmt(row["s_star"]),
-                _fmt(row["delta_min"]),
-                _fmt(row["t_approx"]),
-                _fmt(row["epsilon"]),
-                str(row["interior"]).lower(),
-                ratio,
-                "",
-            ]
+            [_fmt(db), method, *map(_fmt, numbers), str(located.interior).lower(),
+             "" if base is None else _fmt(base / t_est), ""]
         )
     _write_csv(args.out, SUMMARY_HEADER.split(","), rows)
-    failed = sum(1 for row in results if row["error"])
+    failed = len(results) - len(done)
     print(f"wrote {len(rows)} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
     return 0
 

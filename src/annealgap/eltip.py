@@ -19,17 +19,32 @@ flipped; otherwise the assignment is unchanged.
 
 from __future__ import annotations
 
-from .problems import IsingProblem, ProblemFormatError, SpinAssignment, SIGMA_FORM
+from .problems import IsingProblem, ProblemFormatError, SpinAssignment, SIGMA_FORM, _integer
 
 
 def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _spin(index: int, n: int, what: str) -> int:
+    """``index`` as one of n spins, 0 <= index < n; ``what`` names the argument."""
+    i = _integer(index, what)
+    if not 0 <= i < n:
+        raise ProblemFormatError(f"{what}={i} out of range for n={n}")
+    return i
+
+
+def _two_spins(i: int, j: int, n: int) -> tuple[int, int]:
+    """Spins i and j of an n-spin problem, which must differ."""
+    i, j = _spin(i, n, "spin i"), _spin(j, n, "spin j")
+    if i == j:
+        raise ProblemFormatError("swap requires two distinct spins")
+    return i, j
+
+
 def transform(p: IsingProblem, k: int) -> IsingProblem:
     """Exchange couplings-to-k with fields on spins other than k."""
-    if not 0 <= k < p.n:
-        raise ProblemFormatError(f"pivot spin {k} out of range for n={p.n}")
+    k = _spin(k, p.n, "pivot spin k")
     couplings: dict[tuple[int, int], float] = {}
     fields = [0.0] * p.n
     fields[k] = p.h[k]
@@ -51,8 +66,7 @@ def back_map(a: SpinAssignment, k: int) -> SpinAssignment:
     Operates in sigma-form; q-form input is converted (and the result is
     returned in the caller's form). Involution: applying it twice is identity.
     """
-    if not 0 <= k < a.n:
-        raise ProblemFormatError(f"pivot spin {k} out of range for n={a.n}")
+    k = _spin(k, a.n, "pivot spin k")
     sigma = a.to_sigma().values
     if sigma[k] == -1:
         sigma = tuple(-s if i != k else s for i, s in enumerate(sigma))
@@ -62,8 +76,7 @@ def back_map(a: SpinAssignment, k: int) -> SpinAssignment:
 
 def swap_labels(p: IsingProblem, i: int, j: int) -> IsingProblem:
     """Relabel spins i and j in all coefficients."""
-    if i == j:
-        raise ProblemFormatError("swap requires two distinct spins")
+    i, j = _two_spins(i, j, p.n)
     perm = list(range(p.n))
     perm[i], perm[j] = j, i
     couplings = {_pair(perm[a], perm[b]): v for (a, b), v in p.J.items()}
@@ -79,6 +92,5 @@ def compose_swap(p: IsingProblem, i: int, j: int) -> IsingProblem:
     The composition law means chains of transforms never produce anything new
     beyond a single pivot plus relabeling.
     """
-    if i == j:
-        raise ProblemFormatError("swap composition requires two distinct spins")
+    i, j = _two_spins(i, j, p.n)
     return transform(transform(transform(p, j), i), j)

@@ -38,11 +38,18 @@ def _normalize_quadratic(
 ) -> dict[tuple[int, int], float]:
     """Validate and canonicalize a quadratic coefficient map.
 
-    Keys are normalized to i < j, exact zeros are dropped, non-integer
-    indices, self-couplings and duplicate (i, j)/(j, i) pairs are rejected.
+    Keys are normalized to i < j, exact zeros are dropped; anything but a
+    mapping, keys other than (i, j) pairs, non-integer indices,
+    self-couplings and duplicate (i, j)/(j, i) pairs are rejected.
     """
+    if not isinstance(entries, Mapping):
+        raise ProblemFormatError(
+            f"{what} entries must map (i, j) pairs to values, got {type(entries).__name__}"
+        )
     out: dict[tuple[int, int], float] = {}
     for key, value in entries.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ProblemFormatError(f"{what} key {key!r} must be an (i, j) pair")
         i, j = (_integer(index, f"{what} index in {key!r}") for index in key)
         if i == j:
             raise ProblemFormatError(f"self-coupling ({i},{j}) is not allowed")
@@ -59,7 +66,12 @@ def _normalize_quadratic(
 
 
 def _check_linear(n: int, values: Iterable[float], what: str) -> tuple[float, ...]:
-    vec = tuple(_finite(v, f"{what}[{i}]") for i, v in enumerate(values))
+    """``values`` as n finite floats; an empty or missing (None) vector is all zeros."""
+    try:
+        values = tuple(() if values is None else values)
+    except TypeError:
+        raise ProblemFormatError(f"{what} must be a sequence of numbers, got {values!r}") from None
+    vec = tuple(_finite(v, f"{what}[{i}]") for i, v in enumerate(values)) or (0.0,) * n
     if len(vec) != n:
         raise ProblemFormatError(f"{what} must have length n={n}, got {len(vec)}")
     return vec
@@ -122,7 +134,7 @@ class IsingProblem:
     def __post_init__(self):
         object.__setattr__(self, "n", _count(self.n, "spin count"))
         object.__setattr__(self, "J", _normalize_quadratic(self.n, self.J, "coupling"))
-        object.__setattr__(self, "h", _check_linear(self.n, self.h or (0.0,) * self.n, "h"))
+        object.__setattr__(self, "h", _check_linear(self.n, self.h, "h"))
         object.__setattr__(self, "offset", _finite(self.offset, "offset"))
 
     def energy(self, assignment: "SpinAssignment") -> float:
@@ -156,7 +168,7 @@ class QuboProblem:
     def __post_init__(self):
         object.__setattr__(self, "n", _count(self.n, "variable count"))
         object.__setattr__(self, "Q", _normalize_quadratic(self.n, self.Q, "quadratic"))
-        object.__setattr__(self, "b", _check_linear(self.n, self.b or (0.0,) * self.n, "b"))
+        object.__setattr__(self, "b", _check_linear(self.n, self.b, "b"))
         object.__setattr__(self, "offset", _finite(self.offset, "offset"))
 
     def energy(self, assignment: "SpinAssignment") -> float:
@@ -238,6 +250,7 @@ class MisChainSpec:
         object.__setattr__(self, "delta_b", _finite(self.delta_b, "delta_b"))
         if self.delta_b < 0:
             raise ProblemFormatError(f"delta_b must be >= 0, got {self.delta_b}")
+        object.__setattr__(self, "coupling", _finite(self.coupling, "coupling"))
 
     @property
     def weights(self) -> tuple[float, ...]:

@@ -3,9 +3,9 @@
 One grid scan, ``gap_trace``, diagonalizes H(s) once per point and records the
 lowest levels, the E1-E0 gap, the transition element |<E1| dH/ds |E0>|, the
 Hellmann-Feynman gap slope and the squared ground-state amplitudes.
-``min_gap``, ``detect_anticrossing``, ``epsilon``, ``overlap_trace`` and
-``anticrossing_report`` take that trace as their input; a root search on the
-gap slope refines gap minima below the grid step.
+``min_gap``, ``detect_anticrossing``, ``epsilon``, ``fit_hyperbola`` and
+``overlap_trace`` take that trace as their input; a root search on the gap
+slope refines gap minima below the grid step.
 Also here: the eigendecomposition contract, the reciprocal-square time
 estimate and the two-level hyperbola fit near an anti-crossing.
 
@@ -241,18 +241,6 @@ class HyperbolaFit:
     e_center: float
     residual: float
     points: int
-
-
-@dataclass(frozen=True)
-class AntiCrossingReport:
-    """Minimum-gap summary of one schedule."""
-
-    s_star: float
-    delta_min: float
-    interior: bool
-    epsilon: float
-    t_approx: float
-    hyperbola: Optional[HyperbolaFit] = None
 
 
 def _usable_cores() -> int:
@@ -496,7 +484,7 @@ def epsilon(trace: SpectralTrace) -> float:
 
 def t_approx(delta_min: float) -> float:
     """Order-of-magnitude annealing-time proxy: the reciprocal squared gap."""
-    if delta_min <= 0:
+    if not delta_min > 0:  # NaN too
         raise ValueError(f"delta_min must be positive, got {delta_min}")
     return delta_min ** -2
 
@@ -555,21 +543,4 @@ def fit_hyperbola(
         e_center=float(e_center),
         residual=residual,
         points=points,
-    )
-
-
-def anticrossing_report(trace: SpectralTrace, s_tol: float = 1e-6) -> AntiCrossingReport:
-    """Minimum gap, adiabatic numerator, time estimate, and hyperbola of one trace."""
-    located = min_gap(trace, s_tol)
-    eps = epsilon(trace)
-    hyperbola = None
-    if located.interior:
-        hyperbola = fit_hyperbola(trace, located.s_star, located.delta_min)
-    return AntiCrossingReport(
-        s_star=located.s_star,
-        delta_min=located.delta_min,
-        interior=located.interior,
-        epsilon=eps,
-        t_approx=t_approx(located.delta_min),
-        hyperbola=hyperbola,
     )

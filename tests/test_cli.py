@@ -100,6 +100,7 @@ class TestAnalyze:
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert report["delta_min"] == pytest.approx(1.4142136, abs=1e-6)
         assert report["s_star"] == pytest.approx(0.5, abs=1e-6)
+        assert report["t_approx"] == pytest.approx(0.5, abs=1e-9)
         assert report["interior"] is True
         assert report["hyperbola"]["A"] == pytest.approx(2.8284271, abs=1e-6)
         assert report["grid"] == 2001 and report["s_tol"] == 1e-6
@@ -135,6 +136,7 @@ class TestAnalyze:
         assert report["interior"] is False
         assert report["hyperbola"] is None
         assert report["k"] == 0
+        assert report["t_approx"] == pytest.approx(report["delta_min"] ** -2, rel=1e-10)
 
     @pytest.mark.parametrize("levels, columns", [(2, 2), (100, 32)])
     def test_report_levels_match_gaps_columns(self, tmp_path, chain_file, levels, columns):

@@ -57,9 +57,21 @@ class TestTransform:
             assert out.J == {} and out.h == (0, 0, 0, 0)
 
     def test_pivot_out_of_range(self):
-        p = IsingProblem(n=3, J={}, h=(0, 0, 0))
-        with pytest.raises(ProblemFormatError):
-            transform(p, 3)
+        p = IsingProblem(n=3, J={}, h=(1, 2, 3))
+        a = SpinAssignment((0, 1, 1))
+        for k in (3, -1):
+            with pytest.raises(ProblemFormatError, match=f"pivot spin k={k} out of range for n=3"):
+                transform(p, k)
+            with pytest.raises(ProblemFormatError, match=f"pivot spin k={k} out of range for n=3"):
+                back_map(a, k)
+        # Not truncated to 1, and a bool is not read as spin 1.
+        for k in (1.5, True, "1"):
+            with pytest.raises(ProblemFormatError, match=r"pivot spin k must be an integer"):
+                transform(p, k)
+            with pytest.raises(ProblemFormatError, match=r"pivot spin k must be an integer"):
+                back_map(a, k)
+        assert transform(p, np.int64(1)) == transform(p, 1)
+        assert back_map(a, np.int32(1)) == back_map(a, 1)
 
     def test_involution_exact(self, rng):
         for n in (2, 4, 7):
@@ -181,11 +193,23 @@ class TestSwapComposition:
         assert compose_swap(compose_swap(p, 0, 3), 0, 3) == p
 
     def test_equal_pivots_rejected(self):
-        p = IsingProblem(n=3, J={}, h=(0, 0, 0))
+        p = IsingProblem(n=3, J={}, h=(1, 2, 3))
         with pytest.raises(ProblemFormatError):
             compose_swap(p, 1, 1)
         with pytest.raises(ProblemFormatError):
             swap_labels(p, 2, 2)
+        # Both refuse negative and too-large indices instead of wrapping them,
+        # so the composition law holds wherever either is defined.
+        for swap in (swap_labels, compose_swap):
+            for j in (-1, 3, 7):
+                with pytest.raises(ProblemFormatError, match=f"spin j={j} out of range for n=3"):
+                    swap(p, 0, j)
+            with pytest.raises(ProblemFormatError, match="spin i=-3 out of range for n=3"):
+                swap(p, -3, 0)
+            for bad in (1.0, True, None):
+                with pytest.raises(ProblemFormatError, match="spin j must be an integer"):
+                    swap(p, 0, bad)
+        assert swap_labels(p, np.int64(0), 2).h == (3, 2, 1)
 
 
 class TestChainPipeline:

@@ -60,6 +60,12 @@ QUADRATIC_FIELDS = [
     pytest.param(lambda quad: QuboProblem(n=3, Q=quad), "quadratic", id="qubo"),
 ]
 
+#: (build a 3-variable problem from a linear vector, the field it names), per form.
+LINEAR_FIELDS = [
+    pytest.param(lambda vec: IsingProblem(n=3, h=vec), "h", id="ising"),
+    pytest.param(lambda vec: QuboProblem(n=3, b=vec), "b", id="qubo"),
+]
+
 #: (build a problem of size n, the field it names), per form.
 SIZE_FIELDS = [
     pytest.param(lambda n: IsingProblem(n=n), "spin count", id="ising"),
@@ -127,6 +133,34 @@ class TestProblemConstruction:
             ProblemFormatError, match=rf"{field} index in .* must be an integer, got {bad!r}"
         ):
             build({(bad, 2): 1.0})
+
+    @pytest.mark.parametrize("bad", [(0, 1, 2), (0,), (), 5, "ab", None])
+    @pytest.mark.parametrize("build, field", QUADRATIC_FIELDS)
+    def test_malformed_quadratic_key_rejected(self, build, field, bad):
+        with pytest.raises(ProblemFormatError, match=rf"{field} key .* must be an \(i, j\) pair"):
+            build({bad: 1.0})
+
+    @pytest.mark.parametrize(
+        "bad, kind", [([((0, 1), 1.0)], "list"), (((0, 1, 1.0),), "tuple"), (None, "NoneType")]
+    )
+    @pytest.mark.parametrize("build, field", QUADRATIC_FIELDS)
+    def test_non_mapping_quadratic_rejected(self, build, field, bad, kind):
+        with pytest.raises(
+            ProblemFormatError, match=rf"{field} entries must map \(i, j\) pairs to values, got {kind}"
+        ):
+            build(bad)
+
+    @pytest.mark.parametrize("bad", [5, 1.5, True, object()])
+    @pytest.mark.parametrize("build, field", LINEAR_FIELDS)
+    def test_non_sequence_linear_rejected(self, build, field, bad):
+        with pytest.raises(ProblemFormatError, match=f"{field} must be a sequence of numbers"):
+            build(bad)
+
+    @pytest.mark.parametrize("build, field", LINEAR_FIELDS)
+    def test_linear_vector_forms_accepted(self, build, field):
+        p = build(np.array([1.0, -2.0, 0.5]))
+        assert repr(p) == repr(build((1.0, -2.0, 0.5)))
+        assert repr(build(None)) == repr(build(())) == repr(build((0.0, 0.0, 0.0)))
 
     @pytest.mark.parametrize("build, field", QUADRATIC_FIELDS)
     def test_numpy_integer_indices_accepted(self, build, field):
@@ -327,6 +361,20 @@ class TestMisChain:
     def test_non_finite_delta_b_rejected(self, bad, message):
         with pytest.raises(ProblemFormatError, match=message):
             MisChainSpec(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "coupling must be finite, got nan"),
+            (float("-inf"), "coupling must be finite, got -inf"),
+            ("x", "coupling must be a number, got 'x'"),
+            (None, "coupling must be a number, got None"),
+            (True, "coupling must be a number, got True"),
+        ],
+    )
+    def test_bad_coupling_rejected(self, bad, message):
+        with pytest.raises(ProblemFormatError, match=message):
+            MisChainSpec(0.04, coupling=bad)
 
     def test_coupling_parameter(self):
         p = mis_chain(MisChainSpec(0.04, coupling=3.0))

@@ -21,7 +21,6 @@ from annealgap import (
     STOQUASTIC,
     ScheduleSpec,
     SpectralTrace,
-    anticrossing_report,
     detect_anticrossing,
     epsilon,
     fit_hyperbola,
@@ -293,6 +292,8 @@ class TestTApprox:
             t_approx(0.0)
         with pytest.raises(ValueError):
             t_approx(-1.0)
+        with pytest.raises(ValueError, match="delta_min must be positive, got nan"):
+            t_approx(float("nan"))
 
 
 class TestFitHyperbola:
@@ -342,25 +343,6 @@ class TestFitHyperbola:
         assert fit.a == pytest.approx(refit.a, rel=0.02)
         assert fit.b == pytest.approx(refit.b, rel=0.02)
         assert fit.residual < 1e-3
-
-
-class TestAntiCrossingReport:
-    def test_two_level_report(self):
-        trace = gap_trace(two_level(), 2001)
-        report = anticrossing_report(trace)
-        assert report.s_star == pytest.approx(0.5, abs=1e-6)
-        assert report.delta_min == pytest.approx(SQRT2, abs=1e-9)
-        assert report.t_approx == pytest.approx(0.5, abs=1e-9)
-        assert report.interior
-        assert report.hyperbola is not None
-        assert report.hyperbola.a == pytest.approx(2.0 * SQRT2, abs=1e-6)
-        assert trace.schedule is not None
-
-    def test_transformed_chain_no_hyperbola(self):
-        report = anticrossing_report(gap_trace(chain_schedule(0.04, pivot=0), 501))
-        assert not report.interior
-        assert report.hyperbola is None
-        assert report.t_approx == pytest.approx(report.delta_min**-2, rel=1e-12)
 
 
 def matrices(a) -> int:
@@ -414,10 +396,12 @@ class TestSingleScan:
         assert solve_counts["eigh"] == 21  # only the rescan around the arg-max
 
     @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
-    def test_analyze_solve_counts(self, solve_counts):
-        trace = gap_trace(chain_schedule(0.04), self.GRID)
-        anticrossing_report(trace, s_tol=self.S_TOL)
-        overlap_trace(trace, k_max=5)
+    def test_analyze_solve_counts(self, tmp_path, solve_counts):
+        path = tmp_path / "chain.json"
+        save_problem(mis_chain(MisChainSpec(0.04)), path)
+        rc = cli.main(["analyze", "--problem", str(path), "--grid", str(self.GRID),
+                       "--s-tol", str(self.S_TOL), "--out", str(tmp_path / "run_")])
+        assert rc == 0
         assert solve_counts == {"eigh": self.GRID + 21 + self.REFINE, "eigvalsh": 0}
 
     def test_sweep_cell_solve_counts(self, solve_counts):
