@@ -68,41 +68,33 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-def _positive_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then require ``ok`` of the value."""
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text.strip()}")
+        return value
+
+    return parse
+
+
+_positive_finite = _checked(float, lambda x: 0.0 < x < math.inf, "must be positive and finite")
+_final_gap = _checked(float, lambda x: 0.0 <= x < math.inf, "must be finite and >= 0")
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda x: x >= low, f"must be at least {low}")
 
 
 def _delta_b_list(text: str) -> list[float]:
     """Comma-separated final gaps, each finite and >= 0; repeats are dropped."""
-    values = set()
-    for tok in text.split(","):
-        try:
-            value = float(tok)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {tok!r}") from None
-        if not 0.0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {tok.strip()}")
-        values.add(value + 0.0)  # -0.0 becomes 0.0
-    return sorted(values)
-
-
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
+    return sorted({_final_gap(tok) + 0.0 for tok in text.split(",")})  # -0.0 becomes 0.0
 
 
 def _as_ising(problem) -> IsingProblem:

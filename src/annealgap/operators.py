@@ -5,11 +5,11 @@ indices one spin flip apart, H_AFF 2/n at every pair two flips apart. They
 are written at flat index arrays of those pairs rather than built from
 Kronecker products, so every operator is exactly symmetric by construction.
 Basis convention: bit i of index m is 0 for sigma_i = +1. A ``ScheduleSpec``
-caches H_P as its diagonal vector next to the flip-pair indices;
-``schedule_matrix`` fills one zeroed array with H(s) or dH/ds from them, or
-a stack of such arrays for a block of s; it is the one place the drivers are
-built. ``hamiltonian_at`` wraps one H(s) as a read-only, symmetry-checked
-``DenseOperator`` for callers outside the spectral scan.
+caches H_P as its diagonal vector; the flip-pair indices are built once per
+spin count. ``schedule_matrix`` fills one zeroed array with H(s) or dH/ds from
+them, or a stack of such arrays for a block of s; it is the one place the
+drivers are built. ``hamiltonian_at`` wraps one H(s) as a read-only,
+symmetry-checked ``DenseOperator`` for callers outside the spectral scan.
 Dense storage is capped at 14 spins (16384 x 16384), checked before
 allocating.
 """
@@ -17,7 +17,7 @@ allocating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -80,17 +80,21 @@ def problem_diagonal(p: IsingProblem) -> np.ndarray:
     return diag
 
 
+@cache
 def _flip_indices(n: int, flips: int) -> np.ndarray:
     """Flat indices into a 2^n x 2^n array of every basis pair ``flips`` spin flips apart.
 
     Grouped by row, so writes through them walk the array in memory order.
+    Built once per (n, flips) and read-only, so every schedule shares them.
     """
     rows = np.arange(1 << n)[:, None]
     masks = np.array(
         [sum(1 << i for i in spins) for spins in combinations(range(n), flips)],
         dtype=np.intp,
     )
-    return ((rows << n) + (rows ^ masks)).reshape(-1)
+    idx = ((rows << n) + (rows ^ masks)).reshape(-1)
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)
@@ -129,20 +133,6 @@ class ScheduleSpec:
         diag.flags.writeable = False
         return diag
 
-    @cached_property
-    def one_flip_indices(self) -> np.ndarray:
-        """Flat indices of H_B's entries."""
-        idx = _flip_indices(self.n, 1)
-        idx.flags.writeable = False
-        return idx
-
-    @cached_property
-    def two_flip_indices(self) -> np.ndarray:
-        """Flat indices of H_AFF's off-diagonal entries."""
-        idx = _flip_indices(self.n, 2)
-        idx.flags.writeable = False
-        return idx
-
 
 def schedule_matrix(
     sched: ScheduleSpec, s: float | np.ndarray, derivative: bool = False
@@ -168,13 +158,13 @@ def schedule_matrix(
     dim = 1 << sched.n
     m = np.zeros(s.shape + (dim, dim))
     flat = m.reshape(s.shape + (-1,))
-    flat[..., sched.one_flip_indices] = driver
+    flat[..., _flip_indices(sched.n, 1)] = driver
     if sched.driver == STOQUASTIC:
         flat[..., :: dim + 1] += outer * sched.problem_diagonal
         return m
     s_dlam = col if derivative else 0.0
     fluctuation = 1.0 - col - s_dlam
-    flat[..., sched.two_flip_indices] = outer * (fluctuation * (2.0 / sched.n))
+    flat[..., _flip_indices(sched.n, 2)] = outer * (fluctuation * (2.0 / sched.n))
     flat[..., :: dim + 1] += outer * (fluctuation + (col + s_dlam) * sched.problem_diagonal)
     return m
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import _integer
 from .spectral import EigensolverError, SpectralTrace, _check_nondegenerate
 
 #: Normalization of the tracked ground state must hold to this tolerance.
@@ -42,7 +43,7 @@ def overlap_trace(trace: SpectralTrace, k_max: int = 5) -> OverlapTrace:
     """
     sched = trace.schedule
     dim = 1 << sched.n
-    if not 0 <= k_max < dim:
+    if not 0 <= _integer(k_max, "k_max") < dim:
         raise ValueError(f"k_max must lie in [0, {dim - 1}], got {k_max}")
     energies = sched.problem_diagonal
     order = np.argsort(energies, kind="stable")

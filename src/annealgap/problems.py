@@ -223,6 +223,7 @@ class SpinAssignment:
     @classmethod
     def from_basis_index(cls, m: int, n: int) -> "SpinAssignment":
         """Assignment encoded by computational basis index m (bit i = 0 means q_i = 1)."""
+        m, n = _integer(m, "basis index m"), _count(n, "spin count n")
         if not 0 <= m < (1 << n):
             raise ProblemFormatError(f"basis index {m} out of range for n={n}")
         return cls(tuple(1 - ((m >> i) & 1) for i in range(n)), Q_FORM)

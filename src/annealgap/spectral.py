@@ -38,13 +38,14 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .operators import ScheduleSpec, schedule_matrix
+from .problems import _finite, _integer
 
 #: Two ascending levels closer than this, relative to max(1, max |level|) at
 #: their point, are treated as degenerate: solver errors scale with ||H||.
@@ -199,9 +200,7 @@ class SpectralTrace:
     Per grid point it holds the ascending ``levels``, |<E1| dH/ds |E0>|
     (``element``), the squared ground-state amplitudes (``ground_weights``,
     2^n per row) and the Hellmann-Feynman gap slope
-    dGap/ds = <E1| dH/ds |E1> - <E0| dH/ds |E0> (``slope``). ``gap`` is
-    E1 - E0 per point, ``levels[:, 1] - levels[:, 0]``, computed once at
-    construction.
+    dGap/ds = <E1| dH/ds |E1> - <E0| dH/ds |E0> (``slope``).
     """
 
     grid: np.ndarray
@@ -210,10 +209,11 @@ class SpectralTrace:
     element: np.ndarray
     ground_weights: np.ndarray
     slope: np.ndarray
-    gap: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "gap", self.levels[:, 1] - self.levels[:, 0])
+    @property
+    def gap(self) -> np.ndarray:
+        """E1 - E0 per grid point."""
+        return self.levels[:, 1] - self.levels[:, 0]
 
 
 class MinGapResult(NamedTuple):
@@ -320,9 +320,9 @@ def gap_trace(
     sched: ScheduleSpec, grid_points: int = 2001, levels: int = 6
 ) -> SpectralTrace:
     """Diagonalize H(s) on a uniform grid over [0, 1] including both endpoints."""
-    if grid_points < 2:
+    if _integer(grid_points, "grid_points") < 2:
         raise ValueError(f"grid must hold at least 2 points, got {grid_points}")
-    keep = max(2, min(levels, 1 << sched.n))
+    keep = max(2, min(_integer(levels, "levels"), 1 << sched.n))
     return _scan(sched, np.linspace(0.0, 1.0, grid_points), keep)
 
 
@@ -403,7 +403,7 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
     the scan's ``_solve_points``. Returns the best point evaluated, or grid
     point k itself when no evaluation undercuts its gap.
     """
-    if not (math.isfinite(s_tol) and s_tol > 0):
+    if not _finite(s_tol, "s_tol") > 0:
         raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
     grid, sched, slopes = trace.grid, trace.schedule, trace.slope
     best = float(grid[k]), float(trace.gap[k])

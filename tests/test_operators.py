@@ -21,7 +21,7 @@ from annealgap import (
     problem_diagonal,
     qubo_to_ising,
 )
-from annealgap.operators import schedule_matrix
+from annealgap.operators import _flip_indices, schedule_matrix
 from conftest import (
     PAULI_X,
     ROW_ISING,
@@ -299,15 +299,19 @@ class TestScheduleSpec:
     def test_index_arrays_cached_and_reused(self):
         sched = ScheduleSpec(problem=IsingProblem(n=3, J={}, h=(1.0, 0.5, -0.5)),
                              driver=NONSTOQUASTIC)
-        cached = (sched.problem_diagonal, sched.one_flip_indices, sched.two_flip_indices)
+        diagonal = sched.problem_diagonal
+        indices = (_flip_indices(3, 1), _flip_indices(3, 2))
         schedule_matrix(sched, 0.3)
         schedule_matrix(sched, 0.3, derivative=True)
-        assert sched.problem_diagonal is cached[0]
-        assert sched.one_flip_indices is cached[1]
-        assert sched.two_flip_indices is cached[2]
-        assert sched.one_flip_indices.shape == (3 * 8,)
-        assert sched.two_flip_indices.shape == (3 * 8,)
-        assert not any(a.flags.writeable for a in cached)
+        assert _flip_indices(3, 1) is indices[0]
+        assert _flip_indices(3, 2) is indices[1]
+        assert indices[0].shape == indices[1].shape == (3 * 8,)
+        # A second schedule of the same spin count shares the arrays.
+        other = ScheduleSpec(problem=IsingProblem(n=3, J={(0, 2): 1.0}, h=(0.0, 0.0, 0.0)))
+        schedule_matrix(other, 0.7)
+        assert _flip_indices(other.n, 1) is indices[0]
+        assert sched.problem_diagonal is diagonal
+        assert not any(a.flags.writeable for a in (diagonal, *indices))
 
 
 class TestScheduleMemory:

@@ -7,6 +7,7 @@ from annealgap import (
     DegenerateLevelsError,
     IsingProblem,
     MisChainSpec,
+    ProblemFormatError,
     ScheduleSpec,
     SpinAssignment,
     gap_trace,
@@ -95,6 +96,11 @@ class TestOverlapTrace:
     def test_k_max_bounds(self):
         with pytest.raises(ValueError, match="k_max"):
             overlap_trace(gap_trace(chain_schedule(0.04), 11), k_max=32)
+
+    @pytest.mark.parametrize("k_max", [1.5, True, "5"])
+    def test_k_max_must_be_an_integer(self, k_max):
+        with pytest.raises(ProblemFormatError, match=rf"k_max must be an integer, got {k_max!r}"):
+            overlap_trace(gap_trace(chain_schedule(0.04), 11), k_max=k_max)
 
     def test_degenerate_ground_state_reported(self):
         with pytest.raises(DegenerateLevelsError, match="s=1.0"):

@@ -1,6 +1,7 @@
 """Problem containers, conversions, the chain generator, and serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,24 @@ class TestSpinAssignment:
         for m in range(16):
             a = SpinAssignment.from_basis_index(m, 4)
             assert a.basis_index == m
+
+    @pytest.mark.parametrize(
+        "m, n, message",
+        [(1.5, 3, "basis index m must be an integer, got 1.5"),
+         (True, 3, "basis index m must be an integer, got True"),
+         (1, 2.5, "spin count n must be an integer, got 2.5"),
+         (0, False, "spin count n must be an integer, got False"),
+         (0, 0, "spin count n must be >= 1, got 0"),
+         (8, 3, "basis index 8 out of range for n=3"),
+         (-1, 3, "basis index -1 out of range for n=3")],
+    )
+    def test_basis_index_arguments_checked(self, m, n, message):
+        with pytest.raises(ProblemFormatError, match=re.escape(message)):
+            SpinAssignment.from_basis_index(m, n)
+
+    def test_basis_index_accepts_numpy_integers(self):
+        a = SpinAssignment.from_basis_index(np.int64(5), np.int32(3))
+        assert a.basis_index == 5
 
     def test_basis_convention(self):
         # bit 0 means q = 1 (sigma = +1)

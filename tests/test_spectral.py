@@ -18,6 +18,7 @@ from annealgap import (
     IsingProblem,
     MisChainSpec,
     NONSTOQUASTIC,
+    ProblemFormatError,
     STOQUASTIC,
     ScheduleSpec,
     SpectralTrace,
@@ -127,6 +128,20 @@ class TestGapTrace:
         assert np.all(np.diff(trace.levels, axis=1) >= 0)
         assert np.all(trace.gap >= 0)
 
+    @pytest.mark.parametrize(
+        "size, bad",
+        [("grid_points", 2.5), ("grid_points", 11.0), ("grid_points", True),
+         ("levels", 2.5), ("levels", True)],
+    )
+    def test_sizes_must_be_integers(self, size, bad):
+        sizes = {"grid_points": 11, size: bad}
+        with pytest.raises(ProblemFormatError, match=rf"{size} must be an integer, got {bad!r}"):
+            gap_trace(chain_schedule(0.04), **sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        trace = gap_trace(chain_schedule(0.04), np.int64(11), levels=np.int32(3))
+        assert trace.levels.shape == (11, 3)
+
     def test_gap_is_difference_of_lowest_levels(self):
         trace = gap_trace(chain_schedule(0.04), 201)
         assert np.array_equal(trace.gap, trace.levels[:, 1] - trace.levels[:, 0])
@@ -194,6 +209,11 @@ class TestMinGap:
     @pytest.mark.parametrize("s_tol", [-1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, s_tol):
         with pytest.raises(ValueError, match="s_tol"):
+            min_gap(gap_trace(two_level(), 11), s_tol=s_tol)
+
+    @pytest.mark.parametrize("s_tol", [True, "1e-6", None])
+    def test_tolerance_must_be_a_number(self, s_tol):
+        with pytest.raises(ProblemFormatError, match=rf"s_tol must be a number, got {s_tol!r}"):
             min_gap(gap_trace(two_level(), 11), s_tol=s_tol)
 
 
@@ -481,6 +501,29 @@ class TestGapSlopeRefiner:
         located = min_gap(trace, s_tol=self.S_TOL)
         assert solve_counts == {"eigh": golden_evaluations(0.5, self.S_TOL), "eigvalsh": 0}
         assert abs(located.s_star - slope_root(sched, 0.75, 0.77)) <= self.S_TOL
+        assert located.interior
+
+    def test_golden_fallback_at_the_schedule_end(self):
+        # On three points this non-stoquastic gap is smallest at s = 1 and its
+        # slope is positive at both ends of the bracket [0.5, 1], so no slope
+        # root is bracketed; the crossing near s = 0.9016 lies inside it.
+        problem = IsingProblem(
+            n=4,
+            J={(0, 1): 1.9032295429328996, (0, 2): 1.2358586787173063,
+               (1, 3): 0.21897921210866178, (2, 3): 0.3749567569188166},
+            h=(0.7851664080978786, -0.5432371322984813, 0.851032171983563,
+               -0.4974425501715922),
+        )
+        sched = ScheduleSpec(problem=problem, driver=NONSTOQUASTIC)
+        trace = gap_trace(sched, 3)
+        assert int(np.argmin(trace.gap)) == 2
+        assert trace.slope[1] > 0.0 and trace.slope[2] > 0.0
+        located = min_gap(trace, s_tol=self.S_TOL)
+        fine = gap_trace(sched, 4001)
+        k = int(np.argmin(fine.gap))
+        root = slope_root(sched, fine.grid[k - 1], fine.grid[k + 1])
+        assert abs(located.s_star - root) <= self.S_TOL
+        assert located.delta_min <= fine.gap.min()
         assert located.interior
 
     @settings(max_examples=30, deadline=None)
