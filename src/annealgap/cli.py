@@ -237,11 +237,8 @@ def cmd_sweep(args) -> int:
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        results = list(pool.map(run_cell, cells))
 
     done = [(cell, result) for cell, result in zip(cells, results) if not isinstance(result, str)]
     stoq_times = {db: t_est for (db, method), (_, t_est, _) in done if method == "stoquastic"}

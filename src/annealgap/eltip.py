@@ -22,10 +22,6 @@ from __future__ import annotations
 from .problems import IsingProblem, ProblemFormatError, SpinAssignment, SIGMA_FORM, _integer
 
 
-def _pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
-
-
 def _spin(index: int, n: int, what: str) -> int:
     """``index`` as one of n spins, 0 <= index < n; ``what`` names the argument."""
     i = _integer(index, what)
@@ -56,7 +52,7 @@ def transform(p: IsingProblem, k: int) -> IsingProblem:
             fields[other] = value
     for i, hi in enumerate(p.h):
         if i != k and hi != 0.0:
-            couplings[_pair(i, k)] = hi
+            couplings[(i, k)] = hi
     return IsingProblem(n=p.n, J=couplings, h=fields, offset=p.offset)
 
 
@@ -79,7 +75,7 @@ def swap_labels(p: IsingProblem, i: int, j: int) -> IsingProblem:
     i, j = _two_spins(i, j, p.n)
     perm = list(range(p.n))
     perm[i], perm[j] = j, i
-    couplings = {_pair(perm[a], perm[b]): v for (a, b), v in p.J.items()}
+    couplings = {(perm[a], perm[b]): v for (a, b), v in p.J.items()}
     fields = [0.0] * p.n
     for a, value in enumerate(p.h):
         fields[perm[a]] = value

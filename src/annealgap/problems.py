@@ -110,6 +110,19 @@ def _finite(value: float, what: str) -> float:
     return x
 
 
+def _energy(n: int, quadratic, linear, offset: float, values: tuple[int, ...]) -> float:
+    """The energy of ``values``: offset, quadratic terms in dict order, then linear
+    terms, the order of ``operators.problem_diagonal``, so the two agree bit for bit."""
+    if len(values) != n:
+        raise ProblemFormatError(f"assignment length {len(values)} does not match n={n}")
+    e = offset
+    for (i, j), value in quadratic.items():
+        e += value * values[i] * values[j]
+    for i, value in enumerate(linear):
+        e += value * values[i]
+    return e
+
+
 @dataclass(frozen=True)
 class IsingProblem:
     """Ising energy function over spins sigma_i in {-1, +1}.
@@ -139,17 +152,7 @@ class IsingProblem:
 
     def energy(self, assignment: "SpinAssignment") -> float:
         """Total energy of one assignment (auto-converts q-form input)."""
-        spins = assignment.to_sigma().values
-        if len(spins) != self.n:
-            raise ProblemFormatError(
-                f"assignment length {len(spins)} does not match n={self.n}"
-            )
-        e = self.offset
-        for (i, j), jij in self.J.items():
-            e += jij * spins[i] * spins[j]
-        for i, hi in enumerate(self.h):
-            e += hi * spins[i]
-        return e
+        return _energy(self.n, self.J, self.h, self.offset, assignment.to_sigma().values)
 
 
 @dataclass(frozen=True)
@@ -173,17 +176,7 @@ class QuboProblem:
 
     def energy(self, assignment: "SpinAssignment") -> float:
         """Total energy of one assignment (auto-converts sigma-form input)."""
-        q = assignment.to_q().values
-        if len(q) != self.n:
-            raise ProblemFormatError(
-                f"assignment length {len(q)} does not match n={self.n}"
-            )
-        e = self.offset
-        for (i, j), qij in self.Q.items():
-            e += qij * q[i] * q[j]
-        for i, bi in enumerate(self.b):
-            e += bi * q[i]
-        return e
+        return _energy(self.n, self.Q, self.b, self.offset, assignment.to_q().values)
 
 
 @dataclass(frozen=True)
@@ -296,15 +289,15 @@ def ising_to_qubo(p: IsingProblem) -> QuboProblem:
     return QuboProblem(n=p.n, Q=quadratic, b=linear, offset=offset)
 
 
+#: File-format tag -> container; both take (n, quadratic, linear, offset) in that order.
 _FORM_TAGS = {"qubo": QuboProblem, "ising": IsingProblem}
 
 
 def form_of(problem) -> str:
     """File-format tag of a problem instance ('qubo' or 'ising')."""
-    if isinstance(problem, QuboProblem):
-        return "qubo"
-    if isinstance(problem, IsingProblem):
-        return "ising"
+    for tag, cls in _FORM_TAGS.items():
+        if isinstance(problem, cls):
+            return tag
     raise ProblemFormatError(f"not a problem instance: {type(problem).__name__}")
 
 
@@ -374,8 +367,6 @@ def load_problem(path):
             raise ProblemFormatError(f"{path}: duplicate quadratic entry for pair {(i, j)}")
         quad[(i, j)] = value
     try:
-        if form == "qubo":
-            return QuboProblem(n=n, Q=quad, b=linear, offset=offset)
-        return IsingProblem(n=n, J=quad, h=linear, offset=offset)
+        return _FORM_TAGS[form](n, quad, linear, offset)
     except ProblemFormatError as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc

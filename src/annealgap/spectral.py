@@ -322,8 +322,9 @@ def gap_trace(
     """Diagonalize H(s) on a uniform grid over [0, 1] including both endpoints."""
     if _integer(grid_points, "grid_points") < 2:
         raise ValueError(f"grid must hold at least 2 points, got {grid_points}")
-    keep = max(2, min(_integer(levels, "levels"), 1 << sched.n))
-    return _scan(sched, np.linspace(0.0, 1.0, grid_points), keep)
+    if _integer(levels, "levels") < 2:
+        raise ValueError(f"levels must be at least 2, got {levels}")
+    return _scan(sched, np.linspace(0.0, 1.0, grid_points), min(int(levels), 1 << sched.n))
 
 
 def _check_nondegenerate(trace: SpectralTrace, message: str) -> None:
@@ -486,6 +487,8 @@ def t_approx(delta_min: float) -> float:
     """Order-of-magnitude annealing-time proxy: the reciprocal squared gap."""
     if not delta_min > 0:  # NaN too
         raise ValueError(f"delta_min must be positive, got {delta_min}")
+    if delta_min == math.inf:
+        raise ValueError(f"delta_min must be finite, got {delta_min}")
     return delta_min ** -2
 
 
@@ -502,8 +505,11 @@ def fit_hyperbola(
     branches determines (E(s*), B) by linear least squares; the squared
     branch difference determines A^2 by least squares through the origin.
     A residual above 10% of ``delta_min`` triggers a warning rather than an
-    exception.
+    exception. ``s_star`` must be finite and ``delta_min`` finite and >= 0.
     """
+    _finite(s_star, "s_star")
+    if not _finite(delta_min, "delta_min") >= 0:
+        raise ValueError(f"delta_min must be >= 0, got {delta_min}")
     grid = trace.grid
     sel = np.abs(grid - s_star) <= window
     points = int(np.count_nonzero(sel))

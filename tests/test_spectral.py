@@ -138,6 +138,11 @@ class TestGapTrace:
         with pytest.raises(ProblemFormatError, match=rf"{size} must be an integer, got {bad!r}"):
             gap_trace(chain_schedule(0.04), **sizes)
 
+    @pytest.mark.parametrize("levels", [0, 1, -3])
+    def test_fewer_than_two_levels_rejected(self, levels):
+        with pytest.raises(ValueError, match=rf"levels must be at least 2, got {levels}"):
+            gap_trace(two_level(), 11, levels=levels)
+
     def test_numpy_integer_sizes_accepted(self):
         trace = gap_trace(chain_schedule(0.04), np.int64(11), levels=np.int32(3))
         assert trace.levels.shape == (11, 3)
@@ -315,6 +320,11 @@ class TestTApprox:
         with pytest.raises(ValueError, match="delta_min must be positive, got nan"):
             t_approx(float("nan"))
 
+    @pytest.mark.parametrize("delta", [math.inf, np.float64(np.inf)])
+    def test_infinite_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta_min must be finite, got inf"):
+            t_approx(delta)
+
 
 class TestFitHyperbola:
     def test_two_level_exact(self):
@@ -344,6 +354,17 @@ class TestFitHyperbola:
         trace = gap_trace(two_level(), 101)
         with pytest.raises(FitWindowError, match="at least 5"):
             fit_hyperbola(trace, 0.5, SQRT2, window=0.015)
+
+    @pytest.mark.parametrize(
+        "s_star, delta_min, message",
+        [(math.nan, SQRT2, "s_star must be finite"), (math.inf, SQRT2, "s_star must be finite"),
+         (0.5, math.nan, "delta_min must be finite"), (0.5, math.inf, "delta_min must be finite"),
+         (0.5, -1e-3, "delta_min must be >= 0")],
+    )
+    def test_arguments_checked(self, s_star, delta_min, message):
+        trace = gap_trace(two_level(), 101)
+        with pytest.raises(ValueError, match=message):
+            fit_hyperbola(trace, s_star, delta_min)
 
     def test_high_residual_warns(self):
         sched = chain_schedule(0.04)
