@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import Iterable, Mapping
 
@@ -100,11 +100,17 @@ def _finite(value: float, what: str) -> float:
     """``value`` as a float, naming the field when it is rejected.
 
     Real numbers, numpy scalars among them, are accepted; strings, booleans,
-    None, complex numbers, NaN and infinities are not.
+    None, complex numbers, NaN, infinities and integers beyond the float
+    range are not.
     """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ProblemFormatError(f"{what} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ProblemFormatError(
+            f"{what} must be finite, got a number too large for a float"
+        ) from None
     if not math.isfinite(x):
         raise ProblemFormatError(f"{what} must be finite, got {x}")
     return x
@@ -303,25 +309,18 @@ def form_of(problem) -> str:
 
 def save_problem(problem, path) -> None:
     """Write a problem as JSON: form tag, n, sparse quadratic, dense linear, offset."""
-    if isinstance(problem, QuboProblem):
-        quad, lin = problem.Q, problem.b
-    else:
-        quad, lin = problem.J, problem.h
+    form = form_of(problem)
+    n, quad, linear, offset = (getattr(problem, f.name) for f in fields(problem))
     doc = {
-        "form": form_of(problem),
-        "n": problem.n,
+        "form": form,
+        "n": n,
         "quadratic": [[i, j, value] for (i, j), value in sorted(quad.items())],
-        "linear": list(lin),
-        "offset": problem.offset,
+        "linear": list(linear),
+        "offset": offset,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _is_json_number(value) -> bool:
-    """True for a JSON number as ``json`` parses it; strings, booleans and null are not."""
-    return type(value) in (int, float)
 
 
 def load_problem(path):
@@ -345,18 +344,14 @@ def load_problem(path):
         raise ProblemFormatError(f"{path}: n must be a positive integer, got {n!r}")
     if not isinstance(linear, list) or len(linear) != n:
         raise ProblemFormatError(f"{path}: linear must be a list of n={n} numbers")
-    vector = "b" if form == "qubo" else "h"  # named as the problem's field, like _check_linear
-    numbers = {"offset": offset, **{f"{vector}[{i}]": v for i, v in enumerate(linear)}}
-    for what, value in numbers.items():
-        if not _is_json_number(value):
-            raise ProblemFormatError(f"{path}: {what} must be a number, got {value!r}")
     if not isinstance(entries, list):
         raise ProblemFormatError(f"{path}: quadratic must be a list of [i, j, value] entries")
     quad: dict[tuple[int, int], float] = {}
     for entry in entries:
         try:
             i, j, value = entry
-            if type(i) is not int or type(j) is not int or not _is_json_number(value):
+            # JSON numbers as ``json`` parses them; strings, booleans and null are not.
+            if type(i) is not int or type(j) is not int or type(value) not in (int, float):
                 raise TypeError
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError(

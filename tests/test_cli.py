@@ -190,7 +190,9 @@ class TestAnalyze:
         rc = main(["analyze", "--problem", str(bad), "--out", str(tmp_path / "text_")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{bad}: offset must be a number, got False" in err
+        # load_problem checks the quadratic entries before the constructor
+        # checks the linear vector and the offset, so the entry is named first.
+        assert f"{bad}: bad quadratic entry [0, 1, '1.5']" in err
         assert not (tmp_path / "text_report.json").exists()
 
     def test_short_linear_is_input_error(self, tmp_path, capsys):

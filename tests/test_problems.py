@@ -108,7 +108,9 @@ class TestProblemConstruction:
         with pytest.raises(AttributeError):
             p.offset = 1.0
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="huge-int")]
+    )
     @pytest.mark.parametrize("build, field", COEFFICIENT_FIELDS)
     def test_non_finite_coefficient_rejected(self, build, field, bad):
         with pytest.raises(ProblemFormatError, match=field + " must be finite"):
@@ -419,6 +421,12 @@ class TestSerialization:
         assert isinstance(loaded, IsingProblem)
         assert loaded == p
 
+    def test_save_non_problem_rejected(self, tmp_path):
+        path = tmp_path / "none.json"
+        with pytest.raises(ProblemFormatError, match="not a problem instance: object"):
+            save_problem(object(), path)
+        assert not path.exists()
+
     def _write(self, path, doc):
         path.write_text(json.dumps(doc))
 
@@ -493,6 +501,7 @@ class TestSerialization:
             pytest.param({"offset": False}, "offset must be a number, got False", id="offset-bool"),
             pytest.param({"offset": "0.5"}, "offset must be a number, got '0.5'", id="offset-text"),
             pytest.param({"offset": None}, "offset must be a number, got None", id="offset-null"),
+            pytest.param({"offset": 10**400}, "offset must be finite, got a number too large for a float", id="offset-huge-int"),
         ],
     )
     def test_malformed_field_names_the_file(self, tmp_path, change, message):

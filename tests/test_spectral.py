@@ -325,6 +325,14 @@ class TestTApprox:
         with pytest.raises(ValueError, match="delta_min must be finite, got inf"):
             t_approx(delta)
 
+    @pytest.mark.parametrize(
+        "delta", [1e-200, np.float64(1e-200), 5e-324], ids=["float", "numpy", "subnormal"]
+    )
+    def test_reciprocal_square_overflow_rejected(self, delta):
+        # 1/delta^2 exceeds the largest float for delta below about 7.5e-155
+        with pytest.raises(ValueError, match="delta_min is too small"):
+            t_approx(delta)
+
 
 class TestFitHyperbola:
     def test_two_level_exact(self):
@@ -688,13 +696,14 @@ class TestThreadIndependence:
 class TestBlockFailure:
     """eigh fails on H(s) at two points in different blocks of a 101-point chain scan.
 
-    At dimension 32 a block holds 32 points, so on two workers points 0-63
-    run on the calling thread and points 64-100 on a pool thread. The later
-    point fails first.
+    At dimension 32 a block holds 32 points, and two pool threads take the
+    blocks one at a time. While one thread waits in the second block (points
+    32-63), the other finishes the first and fails in the third (points
+    64-95). The later point fails first.
     """
 
     GRID = np.linspace(0.0, 1.0, 101)
-    EARLIER, LATER = 40, 70  # second block of the first run, first block of the second
+    EARLIER, LATER = 40, 70  # in the second block and the third
 
     @pytest.fixture
     def failing_eigh(self, monkeypatch):
