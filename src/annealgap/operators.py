@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .problems import IsingProblem
+from .problems import IsingProblem, ProblemFormatError, _energy
 
 DEFAULT_SPIN_CAP = 14
 
@@ -67,16 +67,15 @@ def _sigma_table(n: int) -> np.ndarray:
 def problem_diagonal(p: IsingProblem) -> np.ndarray:
     """Classical energies of all 2^n assignments, indexed by basis index.
 
-    Terms accumulate in the same order as IsingProblem.energy so the two
-    agree bit for bit.
+    Summed by the function behind ``IsingProblem.energy``, so the two agree
+    bit for bit. Raises ProblemFormatError when finite coefficients sum
+    beyond the float range.
     """
     _check_cap(p.n)
-    sigma = _sigma_table(p.n)
-    diag = np.full(1 << p.n, p.offset)
-    for (i, j), value in p.J.items():
-        diag += value * sigma[:, i] * sigma[:, j]
-    for i, hi in enumerate(p.h):
-        diag += hi * sigma[:, i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = _energy(p.n, p.J, p.h, p.offset, _sigma_table(p.n).T)
+    if not np.isfinite(diag).all():
+        raise ProblemFormatError("the problem's energies overflow the float range")
     return diag
 
 

@@ -116,16 +116,16 @@ def _finite(value: float, what: str) -> float:
     return x
 
 
-def _energy(n: int, quadratic, linear, offset: float, values: tuple[int, ...]) -> float:
+def _energy(n: int, quadratic, linear, offset: float, values) -> float:
     """The energy of ``values``: offset, quadratic terms in dict order, then linear
-    terms, the order of ``operators.problem_diagonal``, so the two agree bit for bit."""
+    terms. A value may be a number or an array with one entry per assignment."""
     if len(values) != n:
         raise ProblemFormatError(f"assignment length {len(values)} does not match n={n}")
     e = offset
     for (i, j), value in quadratic.items():
-        e += value * values[i] * values[j]
+        e = e + value * values[i] * values[j]
     for i, value in enumerate(linear):
-        e += value * values[i]
+        e = e + value * values[i]
     return e
 
 

@@ -18,15 +18,15 @@ separation); the margin keeps those out of reports while leaving genuine
 anti-crossings, which undercut the final gap by factors of 10 to 10^4,
 untouched.
 
-Scans and refinements of matrices up to ``SERIAL_BLAS_MAX_DIM`` run on one
-OpenBLAS thread, where a second thread only spins, and then restore the
-library's thread count; they solve the whole spectrum with numpy's ``eigh``.
-Such a scan solves blocks of grid points as stacks, which a pool of one
-thread per usable core takes one at a time, and its results equal those of
-one solve per point bit for bit. Larger matrices are scanned point by point
-on the calling thread, with the library's count and LAPACK's ``dsyevr`` from
-the OpenBLAS numpy bundles, which computes only the levels kept, several
-times faster; without that library numpy solves them too.
+Every eigensolve goes through ``_solve``. Up to ``SERIAL_BLAS_MAX_DIM`` it
+solves with numpy's ``eigh`` on one OpenBLAS thread, where a second thread
+only spins, and retries a failed stack one matrix at a time. A scan solves
+blocks of grid points of such matrices as stacks, which a pool of one thread
+per usable core takes one at a time, and its results equal those of one
+solve per point bit for bit. Larger matrices are scanned point by point on
+the calling thread, with the library's count and LAPACK's ``dsyevr`` from the
+OpenBLAS numpy bundles, which computes only the levels kept, several times
+faster; without that library numpy solves them too.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ _blas_saved = 0
 
 @contextmanager
 def _serial_blas(dim: int):
-    """One OpenBLAS thread for the block when ``dim <= SERIAL_BLAS_MAX_DIM``.
+    """One OpenBLAS thread for a solve when ``dim <= SERIAL_BLAS_MAX_DIM``.
 
-    The count is process-global, so concurrent blocks share it: the first to
+    The count is process-global, so concurrent solves share it: the first to
     enter saves the library's count and the last to leave restores it. A
     no-op without a bundled OpenBLAS or for larger matrices.
     """
@@ -154,7 +154,7 @@ class FitWindowError(ValueError):
 def _failure(s: Optional[float], detail: str) -> EigensolverError:
     """The error of a failed solve, naming s when known.
 
-    Built only on failure: formatting a block of s costs about 0.3 ms.
+    Built only on failure, for one matrix and its own s.
     """
     where = "" if s is None else f" at s={s}"
     return EigensolverError(f"eigendecomposition failed{where}: {detail}")
@@ -165,8 +165,10 @@ def _solve(matrix: np.ndarray, s: Optional[float] = None, *, keep: int):
 
     Above ``SERIAL_BLAS_MAX_DIM`` LAPACK's dsyevr computes only the requested
     levels of one matrix, overwriting ``matrix``; otherwise ``eigh`` solves
-    the whole spectrum of a matrix or of a (B, dim, dim) stack, one result per
-    matrix. Any LAPACK failure raises EigensolverError naming s.
+    the whole spectrum of a matrix or of a (B, dim, dim) stack on one OpenBLAS
+    thread, one result per matrix. A failed stack is solved again matrix by
+    matrix, each with its entry of ``s``, so the first failing one raises
+    EigensolverError naming its s, as any LAPACK failure does.
     """
     dim = matrix.shape[-1]
     one_large = matrix.ndim == 2 and dim > SERIAL_BLAS_MAX_DIM
@@ -187,10 +189,14 @@ def _solve(matrix: np.ndarray, s: Optional[float] = None, *, keep: int):
             raise _failure(s, f"dsyevr returned info={info} with {found.value} of {keep} levels")
         return w[:keep], v.T
     try:
-        w, v = np.linalg.eigh(matrix)
-        return w[..., :keep], v[..., :keep]
+        with _serial_blas(dim):
+            w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
-        raise _failure(s, str(exc)) from exc
+        if matrix.ndim == 2:
+            raise _failure(s, str(exc)) from exc
+        solved = [_solve(one, point, keep=keep) for one, point in zip(matrix, s)]
+        return tuple(np.stack(part) for part in zip(*solved))
+    return w[..., :keep], v[..., :keep]
 
 
 @dataclass(frozen=True)
@@ -253,20 +259,12 @@ def _usable_cores() -> int:
 def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
     """Levels, |<E1| dH/ds |E0>|, ground weights and gap slope at one s or a 1-D block of s.
 
-    A block is assembled and solved as one stack. When its solve fails, the
-    block is solved again point by point and built from those results, so
-    the first point that fails raises an EigensolverError naming its s; a
-    single point is not solved twice. Nothing 2^n x 2^n outlives the call:
-    at n = 10, keeping a full eigenvector matrix or a dH/ds alive raises the
-    peak RSS by 8%.
+    A block is assembled and solved as one stack, and dH/ds is applied to the
+    kept eigenvectors of all its points at once. Nothing 2^n x 2^n outlives
+    the call: at n = 10, keeping a full eigenvector matrix or a dH/ds alive
+    raises the peak RSS by 8%.
     """
-    try:
-        w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
-    except EigensolverError:
-        if np.ndim(s) == 0:
-            raise
-        points = [_solve_points(sched, point, keep) for point in s]
-        return tuple(np.stack(part) for part in zip(*points))
+    w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
     v0, v1 = v[..., 0], v[..., 1]
     dh = schedule_matrix(sched, s, derivative=True)
     row = v1[..., None, :] @ dh
@@ -280,11 +278,11 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
 
     The grid is cut into blocks whose stacked H(s) fill ``SCAN_BLOCK_BYTES``,
     one point each above ``SERIAL_BLAS_MAX_DIM``. Up to that dimension a pool
-    of one thread per usable core takes the blocks one at a time, all on one
-    OpenBLAS thread; numpy releases the GIL inside a stacked solve, so the
-    blocks overlap. With one worker (one block, one core, or a larger matrix,
-    where dsyevr and the library's own BLAS threads do the work) the calling
-    thread solves the blocks itself. Results are drained in grid order, so a
+    of one thread per usable core takes the blocks one at a time; numpy
+    releases the GIL inside a stacked solve, so the blocks overlap. With one
+    worker (one block, one core, or a larger matrix, where dsyevr and the
+    library's own BLAS threads do the work) the calling thread solves the
+    blocks itself. Results are drained in grid order, so a
     failure reports the first failing s, and do not depend on the thread count.
     """
     dim = 1 << sched.n
@@ -305,7 +303,7 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
 
     # One worker solves on the calling thread: a pool thread's own malloc
     # arena would keep its freed 2^n x 2^n arrays (+21% peak RSS at n = 10).
-    with _serial_blas(dim), ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         for _ in (pool.map if workers > 1 else map)(solve_block, starts):
             pass
     return SpectralTrace(grid, table, sched, element, weights, slope)
@@ -373,8 +371,10 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> None:
 def _golden(f, lo: float, hi: float, xtol: float) -> None:
     """Golden-section search for a minimum of ``f`` on [lo, hi], down to width ``xtol``.
 
-    The caller keeps what ``f`` saw.
+    Never below 4 ulps of 1, where a bracket in [0, 1] stops shrinking. The
+    caller keeps what ``f`` saw.
     """
+    xtol = max(xtol, 4.0 * _EPS)
     c = hi - _INV_GOLD * (hi - lo)
     d = lo + _INV_GOLD * (hi - lo)
     fc, fd = f(c), f(d)
@@ -396,8 +396,8 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
     positive, the minimum is the root of the slope there, and Brent's root
     search finds it in a few evaluations. Otherwise a golden-section search
     of the gap shrinks the bracket. Each evaluation solves H(s) once through
-    the scan's ``_solve_points``. Returns the best point evaluated, or grid
-    point k itself when no evaluation undercuts its gap.
+    the scan's ``_solve_points`` and ``_solve``. Returns the best point
+    evaluated, or grid point k itself when no evaluation undercuts its gap.
     """
     if not _finite(s_tol, "s_tol") > 0:
         raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
@@ -414,11 +414,10 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
             best = float(x), gap
         return gap, float(slope)
 
-    with _serial_blas(1 << sched.n):
-        if slopes[lo] < 0.0 < slopes[hi]:
-            _zeroin(lambda x: ev(x)[1], grid[lo], grid[hi], slopes[lo], slopes[hi], s_tol)
-        else:
-            _golden(lambda x: ev(x)[0], grid[lo], grid[hi], s_tol)
+    if slopes[lo] < 0.0 < slopes[hi]:
+        _zeroin(lambda x: ev(x)[1], grid[lo], grid[hi], slopes[lo], slopes[hi], s_tol)
+    else:
+        _golden(lambda x: ev(x)[0], grid[lo], grid[hi], s_tol)
     return best
 
 

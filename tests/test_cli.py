@@ -195,6 +195,17 @@ class TestAnalyze:
         assert f"{bad}: bad quadratic entry [0, 1, '1.5']" in err
         assert not (tmp_path / "text_report.json").exists()
 
+    def test_overflowing_energies_are_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        doc = {"form": "ising", "n": 2, "quadratic": [[0, 1, 1e308]],
+               "linear": [1e308, 1e308], "offset": 0.0}
+        bad.write_text(json.dumps(doc))
+        rc = main(["analyze", "--problem", str(bad), "--grid", "11",
+                   "--out", str(tmp_path / "huge_")])
+        assert rc == 2
+        assert "overflow the float range" in capsys.readouterr().err
+        assert not list(tmp_path.glob("huge_*"))
+
     def test_short_linear_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps({"form": "ising", "n": 3, "quadratic": [], "linear": []}))

@@ -13,6 +13,7 @@ from annealgap import (
     IsingProblem,
     MisChainSpec,
     NONSTOQUASTIC,
+    ProblemFormatError,
     STOQUASTIC,
     ScheduleSpec,
     SpinAssignment,
@@ -94,11 +95,19 @@ class TestProblemOperator:
             -12.0, abs=1e-12
         )
 
-    def test_diagonal_equals_energy_exactly(self, rng):
-        p = random_ising(rng, 4)
+    @settings(max_examples=200, deadline=None)
+    @given(p=ising_problems())
+    def test_diagonal_equals_energy_exactly(self, p):
         diag = problem_diagonal(p)
-        for m in range(16):
-            assert diag[m] == p.energy(SpinAssignment.from_basis_index(m, 4))
+        for m in range(1 << p.n):
+            assert diag[m] == p.energy(SpinAssignment.from_basis_index(m, p.n))
+
+    def test_overflowing_energies_rejected(self):
+        # Every coefficient is finite, but 1e308 + 1e308 is not; the run
+        # turns any RuntimeWarning into an error, so none may be emitted.
+        p = IsingProblem(n=2, J={(0, 1): 1e308}, h=(1e308, 1e308))
+        with pytest.raises(ProblemFormatError, match="overflow"):
+            problem_diagonal(p)
 
     def test_cap_enforced(self):
         p = IsingProblem(n=15, J={}, h=(0,) * 15)

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -532,6 +533,39 @@ class TestGapSlopeRefiner:
         assert abs(located.s_star - slope_root(sched, 0.75, 0.77)) <= self.S_TOL
         assert located.interior
 
+    @pytest.fixture
+    def bounded_solves(self, monkeypatch):
+        """Solves made while the test runs; the 501st fails the test instead of hanging it."""
+        solves = [0]
+        original = spectral._solve
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            if solves[0] > 500:
+                pytest.fail("refinement still running after 500 solves")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_solve", counted)
+        return solves
+
+    @pytest.mark.parametrize("s_tol", [1e-17, 1e-20, 5e-324])
+    def test_golden_search_ends_below_float_spacing(self, bounded_solves, s_tol):
+        # The golden fallback's bracket [0.5, 1] stops shrinking a few ulps wide.
+        trace = gap_trace(chain_schedule(0.04, driver=NONSTOQUASTIC), 5)
+        bounded_solves[0] = 0
+        located = min_gap(trace, s_tol=s_tol)
+        assert detect_anticrossing(trace, s_tol=s_tol) == [located[:2]]
+        assert bounded_solves[0] == 2 * golden_evaluations(0.5, 4 * spectral._EPS)
+
+    @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
+    def test_analyze_ends_below_float_spacing(self, bounded_solves, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        save_problem(mis_chain(MisChainSpec(0.04)), path)
+        rc = cli.main(["analyze", "--problem", str(path), "--driver", "nonstoq", "--grid", "5",
+                       "--s-tol", "1e-17", "--out", str(tmp_path / "run_")])
+        assert rc == 3
+        assert "trace points" in capsys.readouterr().err
+
     def test_golden_fallback_at_the_schedule_end(self):
         # On three points this non-stoquastic gap is smallest at s = 1 and its
         # slope is positive at both ends of the bracket [0.5, 1], so no slope
@@ -575,20 +609,35 @@ def random_schedule(n: int) -> ScheduleSpec:
 
 @pytest.fixture
 def blas_threads(monkeypatch):
-    """(startup count, count seen by each matrix solved) for numpy's bundled OpenBLAS."""
+    """(startup count, count seen by each matrix solved) for numpy's bundled OpenBLAS.
+
+    A copy of numpy's namespace stands in for ``spectral.np``, so the count is
+    read where ``_solve`` calls ``np.linalg.eigh``, ahead of any eigh a test
+    installs there: a matrix whose solve fails counts too. Each dsyevr call
+    counts one matrix.
+    """
     if spectral._BLAS is None:
         pytest.skip("no bundled OpenBLAS handle: the thread guard is a no-op")
     startup = spectral._BLAS[0]()
     if startup == 1:
         pytest.skip("OpenBLAS already runs one thread: the guard changes nothing")
     seen = []
-    original = spectral._solve
 
-    def recorded(matrix, *args, **kwargs):
+    def eigh(matrix, *args, **kwargs):
         seen.extend([spectral._BLAS[0]()] * matrices(matrix))
-        return original(matrix, *args, **kwargs)
+        return np.linalg.eigh(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_solve", recorded)
+    linalg = SimpleNamespace(**{**vars(np.linalg), "eigh": eigh})
+    monkeypatch.setattr(spectral, "np", SimpleNamespace(**{**vars(np), "linalg": linalg}))
+    if spectral._SYEVR is not None:
+        syevr = spectral._SYEVR
+
+        def dsyevr(*args):
+            seen.append(spectral._BLAS[0]())
+            return syevr(*args)
+
+        dsyevr.restype = syevr.restype
+        monkeypatch.setattr(spectral, "_SYEVR", dsyevr)
     yield startup, seen
     assert spectral._BLAS[0]() == startup
 
