@@ -1,5 +1,6 @@
 """Spectral-gap analysis of quantum annealing schedules for Ising/QUBO problems."""
 
+from . import _blas  # noqa: F401  # first: it may load numpy's OpenBLAS on one thread
 from .eltip import back_map, compose_swap, swap_labels, transform
 from .operators import (
     DEFAULT_SPIN_CAP,

@@ -116,8 +116,15 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _write_table(path, header: list[str], table) -> None:
-    """A numeric table as CSV, formatted one row at a time."""
-    _write_csv(path, header, ([_fmt(v) for v in row.tolist()] for row in table))
+    """A numeric 2-D array as CSV, each row formatted by one ``%.12g`` template.
+
+    ``%.12g`` renders a float exactly as ``_fmt`` does. Rows are converted one
+    at a time: the whole table as Python floats at once raises the peak RSS.
+    """
+    row_format = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(row_format % tuple(row.tolist()) for row in table)
 
 
 def cmd_convert(args) -> int:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import Iterable, Mapping
 
+import numpy as np
+
 
 class ProblemFormatError(ValueError):
     """Raised for malformed problems or problem files."""
@@ -118,14 +120,20 @@ def _finite(value: float, what: str) -> float:
 
 def _energy(n: int, quadratic, linear, offset: float, values) -> float:
     """The energy of ``values``: offset, quadratic terms in dict order, then linear
-    terms. A value may be a number or an array with one entry per assignment."""
+    terms. A value may be a number or an array with one entry per assignment.
+
+    Raises ProblemFormatError when finite coefficients sum beyond the float range.
+    """
     if len(values) != n:
         raise ProblemFormatError(f"assignment length {len(values)} does not match n={n}")
-    e = offset
-    for (i, j), value in quadratic.items():
-        e = e + value * values[i] * values[j]
-    for i, value in enumerate(linear):
-        e = e + value * values[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = offset
+        for (i, j), value in quadratic.items():
+            e = e + value * values[i] * values[j]
+        for i, value in enumerate(linear):
+            e = e + value * values[i]
+    if not np.isfinite(e).all():
+        raise ProblemFormatError("the problem's energies overflow the float range")
     return e
 
 

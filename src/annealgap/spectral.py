@@ -18,15 +18,18 @@ separation); the margin keeps those out of reports while leaving genuine
 anti-crossings, which undercut the final gap by factors of 10 to 10^4,
 untouched.
 
-Every eigensolve goes through ``_solve``. Up to ``SERIAL_BLAS_MAX_DIM`` it
-solves with numpy's ``eigh`` on one OpenBLAS thread, where a second thread
-only spins, and retries a failed stack one matrix at a time. A scan solves
-blocks of grid points of such matrices as stacks, which a pool of one thread
-per usable core takes one at a time, and its results equal those of one
-solve per point bit for bit. Larger matrices are scanned point by point on
-the calling thread, with the library's count and LAPACK's ``dsyevr`` from the
-OpenBLAS numpy bundles, which computes only the levels kept, several times
-faster; without that library numpy solves them too.
+Every eigensolve goes through ``_solve``, which sets numpy's OpenBLAS thread
+count for it. Up to ``SERIAL_BLAS_MAX_DIM`` it solves with numpy's ``eigh``
+on one OpenBLAS thread, where a second thread only spins, and retries a
+failed stack one matrix at a time. A scan solves blocks of grid points of
+such matrices as stacks, which a pool of one thread per usable core takes one
+at a time, and its results equal those of one solve per point bit for bit.
+Larger matrices are scanned point by point on the calling thread with
+LAPACK's ``dsyevr`` from the OpenBLAS numpy bundles, which computes only the
+levels kept, several times faster; without that library numpy solves them
+too. They run on one OpenBLAS thread per usable core when annealgap loaded
+numpy's OpenBLAS on one thread (see ``_blas``), and on the library's own
+count when numpy was imported first or a thread variable is set.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _blas
 from .operators import ScheduleSpec, schedule_matrix
 from .problems import _finite, _integer
 
@@ -83,9 +86,8 @@ def _openblas():
     Either part is None when no bundled library exports it.
     """
     try:
-        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        found = [ctypes.CDLL(str(path)) for path in sorted(libs.glob("*openblas*"))]
-    except (OSError, TypeError):  # unloadable library, or numpy without a __file__
+        found = [ctypes.CDLL(str(path)) for path in _blas.LIBRARIES]
+    except OSError:  # an unloadable library
         return None, None
     for lib in found:
         for get_name, set_name, syevr_name, lapack_int in _BLAS_SYMBOLS:
@@ -113,29 +115,39 @@ _blas_saved = 0
 
 
 @contextmanager
-def _serial_blas(dim: int):
-    """One OpenBLAS thread for a solve when ``dim <= SERIAL_BLAS_MAX_DIM``.
+def _blas_threads(dim: int):
+    """numpy's OpenBLAS thread count for one solve of dimension ``dim``.
 
+    One thread up to ``SERIAL_BLAS_MAX_DIM``. Above it, one per usable core
+    when annealgap loaded the library on one thread (``_blas.LOADED_SERIAL``),
+    and otherwise the count the library has, as OpenBLAS or the user chose it.
     The count is process-global, so concurrent solves share it: the first to
-    enter saves the library's count and the last to leave restores it. A
-    no-op without a bundled OpenBLAS or for larger matrices.
+    enter saves the library's count, each sets its own, and the last to leave
+    restores the saved count. A no-op without a bundled OpenBLAS.
     """
     global _blas_users, _blas_saved
-    if _BLAS is None or dim > SERIAL_BLAS_MAX_DIM:
+    if dim <= SERIAL_BLAS_MAX_DIM:
+        threads = 1
+    elif _blas.LOADED_SERIAL:
+        threads = _usable_cores()
+    else:
+        threads = None
+    if _BLAS is None or threads is None:
         yield
         return
     get, set_ = _BLAS
     with _blas_lock:
         if _blas_users == 0:
             _blas_saved = get()
-            set_(1)
         _blas_users += 1
+        if get() != threads:
+            set_(threads)
     try:
         yield
     finally:
         with _blas_lock:
             _blas_users -= 1
-            if _blas_users == 0:
+            if _blas_users == 0 and get() != _blas_saved:
                 set_(_blas_saved)
 
 
@@ -163,39 +175,40 @@ def _failure(s: Optional[float], detail: str) -> EigensolverError:
 def _solve(matrix: np.ndarray, s: Optional[float] = None, *, keep: int):
     """The ``keep`` lowest levels, with eigenvectors as columns.
 
-    Above ``SERIAL_BLAS_MAX_DIM`` LAPACK's dsyevr computes only the requested
-    levels of one matrix, overwriting ``matrix``; otherwise ``eigh`` solves
-    the whole spectrum of a matrix or of a (B, dim, dim) stack on one OpenBLAS
-    thread, one result per matrix. A failed stack is solved again matrix by
-    matrix, each with its entry of ``s``, so the first failing one raises
+    Every solve runs inside ``_blas_threads``, on the OpenBLAS thread count
+    its dimension gets. Above ``SERIAL_BLAS_MAX_DIM`` LAPACK's dsyevr computes
+    only the requested levels of one matrix, overwriting ``matrix``; otherwise
+    ``eigh`` solves the whole spectrum of a matrix or of a (B, dim, dim) stack,
+    one result per matrix. A failed stack is solved again matrix by matrix,
+    each with its entry of ``s``, so the first failing one raises
     EigensolverError naming its s, as any LAPACK failure does.
     """
     dim = matrix.shape[-1]
-    one_large = matrix.ndim == 2 and dim > SERIAL_BLAS_MAX_DIM
-    if _SYEVR is not None and one_large:
-        matrix = np.require(matrix, np.float64, ["C", "W"])  # copies only a read-only input
-        lapack_int = _SYEVR.restype
-        found = lapack_int()
-        w = np.empty(dim)
-        v = np.empty((keep, dim))
-        support = np.empty(2 * keep, dtype=np.dtype(lapack_int))
-        # Column-major (102) reads the C-ordered symmetric array unchanged and
-        # writes each eigenvector contiguously, as one row of ``v``.
-        info = _SYEVR(
-            102, b"V", b"I", b"L", dim, matrix.ctypes.data, dim, 0.0, 0.0, 1, keep,
-            0.0, ctypes.byref(found), w.ctypes.data, v.ctypes.data, dim, support.ctypes.data,
-        )
-        if info or found.value != keep:
-            raise _failure(s, f"dsyevr returned info={info} with {found.value} of {keep} levels")
-        return w[:keep], v.T
-    try:
-        with _serial_blas(dim):
+    with _blas_threads(dim):
+        if _SYEVR is not None and matrix.ndim == 2 and dim > SERIAL_BLAS_MAX_DIM:
+            matrix = np.require(matrix, np.float64, ["C", "W"])  # copies only a read-only input
+            lapack_int = _SYEVR.restype
+            found = lapack_int()
+            w = np.empty(dim)
+            v = np.empty((keep, dim))
+            support = np.empty(2 * keep, dtype=np.dtype(lapack_int))
+            # Column-major (102) reads the C-ordered symmetric array unchanged and
+            # writes each eigenvector contiguously, as one row of ``v``.
+            info = _SYEVR(
+                102, b"V", b"I", b"L", dim, matrix.ctypes.data, dim, 0.0, 0.0, 1, keep,
+                0.0, ctypes.byref(found), w.ctypes.data, v.ctypes.data, dim, support.ctypes.data,
+            )
+            if info or found.value != keep:
+                detail = f"dsyevr returned info={info} with {found.value} of {keep} levels"
+                raise _failure(s, detail)
+            return w[:keep], v.T
+        try:
             w, v = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        if matrix.ndim == 2:
-            raise _failure(s, str(exc)) from exc
-        solved = [_solve(one, point, keep=keep) for one, point in zip(matrix, s)]
-        return tuple(np.stack(part) for part in zip(*solved))
+        except np.linalg.LinAlgError as exc:
+            if matrix.ndim == 2:
+                raise _failure(s, str(exc)) from exc
+            solved = [_solve(one, point, keep=keep) for one, point in zip(matrix, s)]
+            return tuple(np.stack(part) for part in zip(*solved))
     return w[..., :keep], v[..., :keep]
 
 
@@ -463,7 +476,8 @@ def epsilon(trace: SpectralTrace) -> float:
     gap-normalised element |<E1| dH/ds |E0>| / (E1 - E0) is a different
     quantity and is not what this returns.
 
-    The grid around the arg-max is refined once at ten times the resolution.
+    The grid around the arg-max is refined once at ten times the resolution:
+    19 new points between its grid neighbours, whose elements the trace holds.
     Raises DegenerateLevelsError when E0 and E1 coincide at an evaluation
     point, where the matrix element is not basis-independent.
     """
@@ -472,7 +486,7 @@ def epsilon(trace: SpectralTrace) -> float:
     grid = trace.grid
     i = int(np.argmax(trace.element))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    fine = _scan(trace.schedule, np.linspace(lo, hi, 21), 2)
+    fine = _scan(trace.schedule, np.linspace(lo, hi, 21)[1:-1], 2)
     _check_nondegenerate(fine, degenerate)
     return float(max(trace.element[i], fine.element.max()))
 

@@ -1,8 +1,14 @@
 """Command-line behavior: conversions, transforms, reports, sweeps, exit codes."""
 
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from annealgap import (
     IsingProblem,
@@ -224,6 +230,35 @@ class TestAnalyze:
         assert excinfo.value.code == 2
         assert "argument --s-tol: must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "tol_report.json").exists()
+
+
+class TestWriteTable:
+    @staticmethod
+    def reference(header: list[str], table: np.ndarray) -> bytes:
+        """The table as ``csv.writer`` writes it with ``f"{x:.12g}"`` per value."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{x:.12g}" for x in row] for row in table.tolist())
+        return out.getvalue().encode("utf-8")
+
+    @pytest.fixture(scope="class")
+    def table_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("table") / "table.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+        elements=st.floats(),
+    ))
+    @example(table=np.array([[0.0, -0.0, 5e-324, -2.2250738585072014e-308],
+                             [np.inf, -np.inf, np.nan, 1.0 / 3.0],
+                             [1e22, 123456789012.5, -1e-5, 2.0 ** 60]]))
+    def test_bytes_match_csv_writer(self, table_path, table):
+        header = [f"c{k}" for k in range(table.shape[1])]
+        cli._write_table(table_path, header, table)
+        assert table_path.read_bytes() == self.reference(header, table)
 
 
 class TestSweep:

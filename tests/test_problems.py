@@ -337,6 +337,15 @@ class TestEnergy:
         with pytest.raises(ProblemFormatError, match="length"):
             p.energy(SpinAssignment((1, 0), "q"))
 
+    @pytest.mark.parametrize("problem", [
+        IsingProblem(n=2, J={(0, 1): 1e308}, h=(1e308, 1e308)),
+        QuboProblem(n=2, Q={(0, 1): 1e308}, b=(1e308, 1e308)),
+    ], ids=["ising", "qubo"])
+    def test_overflowing_energy_rejected(self, problem):
+        # Every coefficient is finite; their sum over (1, 1) in either form is not.
+        with pytest.raises(ProblemFormatError, match="overflow the float range"):
+            problem.energy(SpinAssignment((1, 1), "q"))
+
     def test_form_auto_conversion(self, rng):
         p = random_ising(rng, 4)
         q = SpinAssignment((1, 0, 0, 1), "q")

@@ -1,7 +1,10 @@
 """Spectral engine: eigensolver contract, traces, min-gap, detection, fits."""
 
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -36,7 +39,8 @@ from annealgap import (
     t_approx,
     transform,
 )
-from annealgap import cli, spectral
+import annealgap
+from annealgap import _blas, cli, spectral
 from annealgap.cli import _sweep_cell
 from annealgap.operators import schedule_matrix
 from annealgap.spectral import _INV_GOLD
@@ -443,7 +447,7 @@ class TestSingleScan:
         overlap_trace(trace)
         assert solve_counts["eigh"] == 0
         epsilon(trace)
-        assert solve_counts["eigh"] == 21  # only the rescan around the arg-max
+        assert solve_counts["eigh"] == 19  # only the rescan around the arg-max
 
     @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
     def test_analyze_solve_counts(self, tmp_path, solve_counts):
@@ -452,11 +456,11 @@ class TestSingleScan:
         rc = cli.main(["analyze", "--problem", str(path), "--grid", str(self.GRID),
                        "--s-tol", str(self.S_TOL), "--out", str(tmp_path / "run_")])
         assert rc == 0
-        assert solve_counts == {"eigh": self.GRID + 21 + self.REFINE, "eigvalsh": 0}
+        assert solve_counts == {"eigh": self.GRID + 19 + self.REFINE, "eigvalsh": 0}
 
     def test_sweep_cell_solve_counts(self, solve_counts):
         _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
-        assert solve_counts == {"eigh": self.GRID + 21 + self.REFINE, "eigvalsh": 0}
+        assert solve_counts == {"eigh": self.GRID + 19 + self.REFINE, "eigvalsh": 0}
 
 
 def sweep_schedule(delta_b: float, method: str) -> ScheduleSpec:
@@ -673,7 +677,7 @@ class TestSerialBlas:
 
     def test_last_overlapping_user_restores(self, blas_threads):
         startup, _ = blas_threads
-        first, second = spectral._serial_blas(32), spectral._serial_blas(32)
+        first, second = spectral._blas_threads(32), spectral._blas_threads(32)
         first.__enter__()
         second.__enter__()
         first.__exit__(None, None, None)
@@ -687,7 +691,7 @@ class TestSerialBlas:
 
         def user():
             for _ in range(500):
-                with spectral._serial_blas(32):
+                with spectral._blas_threads(32):
                     np.linalg.eigvalsh(np.eye(32))
                     inside.append(spectral._BLAS[0]())
 
@@ -712,6 +716,82 @@ class TestSerialBlas:
                          "--grid", "51", "--workers", "4", "--out", str(out)]) == 0
         assert len(seen) > 4 * 51 and set(seen) == {1}
         assert spectral._BLAS[0]() == startup
+
+
+#: Run in a fresh interpreter after FIRST: import annealgap, report OpenBLAS's
+#: thread count and the process's threads, then solve one 512 x 512 matrix.
+LOAD_PROBE = """
+import json, os
+{first}
+import annealgap
+from annealgap import _blas, spectral
+import numpy as np
+
+get = spectral._BLAS[0]
+report = {{
+    "count": get(),
+    "tasks": len(os.listdir("/proc/self/task")),
+    "variables": {{name: os.environ.get(name) for name in _blas.THREAD_VARIABLES}},
+    "loaded_serial": _blas.LOADED_SERIAL,
+    "cores": spectral._usable_cores(),
+    "seen": [],
+}}
+syevr = spectral._SYEVR
+
+def dsyevr(*args):
+    report["seen"].append(get())
+    return syevr(*args)
+
+dsyevr.restype = syevr.restype
+spectral._SYEVR = dsyevr
+matrix = np.random.default_rng(0).standard_normal((512, 512))
+spectral._solve(matrix + matrix.T, keep=2)
+report["after"] = get()
+print(json.dumps(report))
+"""
+
+
+class TestBlasAtLoad:
+    """OpenBLAS's thread count in a fresh process, by what came before ``import annealgap``."""
+
+    @staticmethod
+    def probe(first: str = "", **variables: str) -> dict:
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count the process's threads")
+        if spectral._BLAS is None or spectral._SYEVR is None:
+            pytest.skip("no bundled OpenBLAS handle: annealgap leaves the library alone")
+        env = {k: v for k, v in os.environ.items() if k not in _blas.THREAD_VARIABLES}
+        src = str(Path(annealgap.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(variables)
+        done = subprocess.run(
+            [sys.executable, "-c", LOAD_PROBE.format(first=first)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return json.loads(done.stdout)
+
+    def test_first_import_loads_one_thread(self):
+        report = self.probe()
+        assert report["loaded_serial"] is True
+        assert report["count"] == 1 and report["tasks"] == 1
+        assert report["variables"] == dict.fromkeys(_blas.THREAD_VARIABLES)  # none left set
+        # A dsyevr solve gets one thread per usable core, and gives them back.
+        assert report["seen"] == [report["cores"]] and report["after"] == 1
+
+    def test_user_variable_is_kept(self):
+        if spectral._usable_cores() < 2:
+            pytest.skip("OpenBLAS caps its count at the cores it may use, here 1")
+        report = self.probe(OPENBLAS_NUM_THREADS="2")
+        assert report["loaded_serial"] is False
+        assert report["count"] == 2 and report["variables"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert report["seen"] == [2] and report["after"] == 2
+
+    def test_numpy_first_keeps_library_default(self):
+        report = self.probe("import numpy")
+        assert report["loaded_serial"] is False
+        # OpenBLAS started its own pool: one thread per counted core.
+        assert report["tasks"] == report["count"]
+        assert report["seen"] == [report["count"]] and report["after"] == report["count"]
 
 
 class TestThreadIndependence:
