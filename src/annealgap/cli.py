@@ -221,7 +221,7 @@ def _sweep_cell(delta_b: float, method: str, grid: int, s_tol: float) -> tuple:
     non-positive minimum gap is reported as such.
     """
     ising = qubo_to_ising(mis_chain(MisChainSpec(delta_b)))
-    trace = gap_trace(_schedule(ising, *SWEEP_METHODS[method]), grid)
+    trace = gap_trace(_schedule(ising, *SWEEP_METHODS[method]), grid, levels=2)
     located = min_gap(trace, s_tol=s_tol)
     return located, t_approx(located.delta_min), epsilon(trace)
 

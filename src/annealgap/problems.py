@@ -336,6 +336,8 @@ def load_problem(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
@@ -346,7 +348,7 @@ def load_problem(path):
         offset = doc.get("offset", 0.0)
     except (KeyError, TypeError) as exc:
         raise ProblemFormatError(f"{path}: missing or malformed field ({exc})") from exc
-    if form not in _FORM_TAGS:
+    if not isinstance(form, str) or form not in _FORM_TAGS:
         raise ProblemFormatError(f"{path}: unknown form tag {form!r}")
     if type(n) is not int or n < 1:  # a JSON integer; bools and floats are refused
         raise ProblemFormatError(f"{path}: n must be a positive integer, got {n!r}")

@@ -19,17 +19,20 @@ anti-crossings, which undercut the final gap by factors of 10 to 10^4,
 untouched.
 
 Every eigensolve goes through ``_solve``, which sets numpy's OpenBLAS thread
-count for it. Up to ``SERIAL_BLAS_MAX_DIM`` it solves with numpy's ``eigh``
-on one OpenBLAS thread, where a second thread only spins, and retries a
-failed stack one matrix at a time. A scan solves blocks of grid points of
-such matrices as stacks, which a pool of one thread per usable core takes one
-at a time, and its results equal those of one solve per point bit for bit.
-Larger matrices are scanned point by point on the calling thread with
-LAPACK's ``dsyevr`` from the OpenBLAS numpy bundles, which computes only the
-levels kept, several times faster; without that library numpy solves them
-too. They run on one OpenBLAS thread per usable core when annealgap loaded
-numpy's OpenBLAS on one thread (see ``_blas``), and on the library's own
-count when numpy was imported first or a thread variable is set.
+count for it and picks the faster solver. LAPACK's ``dsyevr`` from the
+OpenBLAS numpy bundles computes only the levels kept; it solves every matrix
+above ``SERIAL_BLAS_MAX_DIM`` and, below it, every matrix of dimension at
+least 7 x (kept levels + 1), one call per matrix. numpy's ``eigh`` solves the
+whole spectrum of the rest, such as the 5-spin chain's 6-level scan, a stack
+at a time, and retries a failed stack one matrix at a time; without the
+bundled library it solves everything. Up to ``SERIAL_BLAS_MAX_DIM`` solves run
+on one OpenBLAS thread, where a second thread only spins, and a scan solves
+blocks of grid points as stacks, which a pool of one thread per usable core
+takes one at a time; its results equal those of one solve per point bit for
+bit. Larger matrices are scanned point by point on the calling thread, on one
+OpenBLAS thread per usable core when annealgap loaded numpy's OpenBLAS on one
+thread (see ``_blas``), and on the library's own count when numpy was
+imported first or a thread variable is set.
 """
 
 from __future__ import annotations
@@ -173,43 +176,92 @@ def _failure(s: Optional[float], detail: str) -> EigensolverError:
 
 
 def _solve(matrix: np.ndarray, s: Optional[float] = None, *, keep: int):
-    """The ``keep`` lowest levels, with eigenvectors as columns.
+    """The ``keep`` lowest levels, with eigenvectors as columns, of a matrix or a stack.
 
     Every solve runs inside ``_blas_threads``, on the OpenBLAS thread count
-    its dimension gets. Above ``SERIAL_BLAS_MAX_DIM`` LAPACK's dsyevr computes
-    only the requested levels of one matrix, overwriting ``matrix``; otherwise
-    ``eigh`` solves the whole spectrum of a matrix or of a (B, dim, dim) stack,
-    one result per matrix. A failed stack is solved again matrix by matrix,
-    each with its entry of ``s``, so the first failing one raises
-    EigensolverError naming its s, as any LAPACK failure does.
+    its dimension gets. LAPACK's dsyevr, which computes only the levels asked
+    for, solves one matrix at a time above ``SERIAL_BLAS_MAX_DIM`` and
+    wherever ``7 * (keep + 1) <= dim``, where it beats a full ``eigh`` (see
+    ``_lowest``); otherwise numpy's ``eigh`` solves the whole spectrum of a
+    matrix or of a (B, dim, dim) stack. Either way the first failing matrix
+    raises EigensolverError naming its own entry of ``s``.
     """
     dim = matrix.shape[-1]
     with _blas_threads(dim):
-        if _SYEVR is not None and matrix.ndim == 2 and dim > SERIAL_BLAS_MAX_DIM:
-            matrix = np.require(matrix, np.float64, ["C", "W"])  # copies only a read-only input
-            lapack_int = _SYEVR.restype
-            found = lapack_int()
-            w = np.empty(dim)
-            v = np.empty((keep, dim))
-            support = np.empty(2 * keep, dtype=np.dtype(lapack_int))
-            # Column-major (102) reads the C-ordered symmetric array unchanged and
-            # writes each eigenvector contiguously, as one row of ``v``.
-            info = _SYEVR(
-                102, b"V", b"I", b"L", dim, matrix.ctypes.data, dim, 0.0, 0.0, 1, keep,
-                0.0, ctypes.byref(found), w.ctypes.data, v.ctypes.data, dim, support.ctypes.data,
-            )
-            if info or found.value != keep:
-                detail = f"dsyevr returned info={info} with {found.value} of {keep} levels"
-                raise _failure(s, detail)
-            return w[:keep], v.T
-        try:
-            w, v = np.linalg.eigh(matrix)
-        except np.linalg.LinAlgError as exc:
-            if matrix.ndim == 2:
-                raise _failure(s, str(exc)) from exc
-            solved = [_solve(one, point, keep=keep) for one, point in zip(matrix, s)]
-            return tuple(np.stack(part) for part in zip(*solved))
+        if _SYEVR is not None and (dim > SERIAL_BLAS_MAX_DIM or 7 * (keep + 1) <= dim):
+            return _lowest(matrix, s, keep)
+        return _eigh(matrix, s, keep)
+
+
+def _eigh(matrix: np.ndarray, s, keep: int):
+    """numpy's ``eigh``, cut to ``keep`` levels; a failed stack is solved again matrix by matrix."""
+    try:
+        w, v = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        if matrix.ndim == 2:
+            raise _failure(s, str(exc)) from exc
+        solved = [_eigh(one, point, keep) for one, point in zip(matrix, s)]
+        return tuple(np.stack(part) for part in zip(*solved))
     return w[..., :keep], v[..., :keep]
+
+
+def _lowest(matrix: np.ndarray, s, keep: int):
+    """dsyevr's ``keep`` lowest levels and vectors of a matrix or a stack, one call per matrix.
+
+    Up to ``SERIAL_BLAS_MAX_DIM`` one more level is asked for. Where it shows
+    E0 or E1 degenerate, the vectors depend on the solver, so that matrix is
+    solved again by numpy's ``eigh`` and keeps the vectors a full scan would
+    give; each matrix is therefore copied into a scratch buffer, which dsyevr
+    overwrites. Above that dimension dsyevr's vectors stand and ``matrix``
+    itself is overwritten.
+    """
+    dim = matrix.shape[-1]
+    stack = matrix.reshape(-1, dim, dim)
+    count = len(stack)
+    points = [None] * count if s is None else np.ravel(s)
+    fallback = dim <= SERIAL_BLAS_MAX_DIM
+    asked = keep + 1 if fallback else keep
+    if fallback:
+        scratch = np.empty((dim, dim))
+        a_ptr, a_step = scratch.ctypes.data, 0
+    else:
+        stack = np.require(stack, np.float64, ["C", "W"])  # copies only a read-only input
+        a_ptr, a_step = stack.ctypes.data, stack.strides[0]
+    lapack_int = _SYEVR.restype
+    found = lapack_int()
+    found_ref = ctypes.byref(found)
+    w = np.empty((count, dim))  # dsyevr may use all dim entries of each row
+    v = np.empty((count, asked, dim))
+    support = np.empty(2 * asked, dtype=np.dtype(lapack_int))
+    w_ptr, v_ptr, support_ptr = w.ctypes.data, v.ctypes.data, support.ctypes.data
+    for i in range(count):
+        if fallback:
+            np.copyto(scratch, stack[i])
+        found.value = 0
+        # Column-major (102) reads the C-ordered symmetric matrix unchanged and
+        # writes each eigenvector contiguously, as one row of ``v[i]``.
+        info = _SYEVR(
+            102, b"V", b"I", b"L", dim, a_ptr + i * a_step, dim, 0.0, 0.0, 1, asked, 0.0,
+            found_ref, w_ptr + i * w.strides[0], v_ptr + i * v.strides[0], dim, support_ptr,
+        )
+        if info or found.value != asked:
+            detail = f"dsyevr returned info={info} with {found.value} of {asked} levels"
+            raise _failure(points[i], detail)
+    if fallback:
+        levels = w[:, :asked]
+        scale = np.maximum(1.0, np.abs(levels).max(axis=1))
+        spacing = np.diff(levels[:, :3], axis=1).min(axis=1)
+        for i in np.flatnonzero(spacing <= DEGENERACY_TOL * scale):
+            w[i, :keep], vectors = _eigh(stack[i], points[i], keep)
+            v[i, :keep] = vectors.T
+    vectors = v[:, :keep].swapaxes(1, 2)
+    if fallback:
+        # Columns of a C-ordered array, as eigh gives them: numpy's matmul then
+        # sums the dH/ds products in the same order, so a re-solved point's
+        # element and slope equal eigh's bit for bit.
+        vectors = np.ascontiguousarray(vectors)
+    shape = matrix.shape[:-2]
+    return w[:, :keep].reshape(shape + (keep,)), vectors.reshape(shape + (dim, keep))
 
 
 @dataclass(frozen=True)

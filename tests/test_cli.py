@@ -221,6 +221,25 @@ class TestAnalyze:
         assert f"{bad}: linear must be a list of n=3 numbers" in capsys.readouterr().err
         assert not (tmp_path / "short_report.json").exists()
 
+    @pytest.mark.parametrize("form", [["qubo"], {"qubo": 1}])
+    def test_unhashable_form_tag_is_input_error(self, tmp_path, capsys, form):
+        bad = tmp_path / "tag.json"
+        bad.write_text(json.dumps({"form": form, "n": 1, "quadratic": [], "linear": [0]}))
+        rc = main(["analyze", "--problem", str(bad), "--out", str(tmp_path / "tag_")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: unknown form tag {form!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "tag_report.json").exists()
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"form": "qubo", "n": 1, "quadratic": [], "linear": [0], "x": "\xff"}')
+        rc = main(["analyze", "--problem", str(bad), "--out", str(tmp_path / "latin1_")])
+        assert rc == 2
+        assert f"error: {bad}: not UTF-8 text (" in capsys.readouterr().err
+        assert not (tmp_path / "latin1_report.json").exists()
+
     @pytest.mark.parametrize("s_tol", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_is_input_error(self, tmp_path, chain_file, capsys, monkeypatch, s_tol):
         monkeypatch.setattr(cli, "gap_trace", _no_scan)

@@ -406,12 +406,14 @@ def matrices(a) -> int:
 
 @pytest.fixture
 def solve_counts(monkeypatch):
-    """Matrices diagonalized by numpy's dense symmetric eigensolvers while the test runs.
+    """Matrices diagonalized by each dense symmetric eigensolver while the test runs.
 
-    A stacked call counts each matrix of the stack.
+    numpy's ``eigh`` and ``eigvalsh`` count each matrix of a stacked call;
+    LAPACK's dsyevr, called through ``spectral._SYEVR`` once per matrix,
+    counts each call.
     """
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
+    counts = {"eigh": 0, "eigvalsh": 0, "dsyevr": 0}
+    for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, _name=name, **kwargs):
@@ -419,7 +421,28 @@ def solve_counts(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    if spectral._SYEVR is not None:
+        syevr = spectral._SYEVR
+
+        def dsyevr(*args):
+            counts["dsyevr"] += 1
+            return syevr(*args)
+
+        dsyevr.restype = syevr.restype
+        monkeypatch.setattr(spectral, "_SYEVR", dsyevr)
     return counts
+
+
+def solves(eigh: int = 0, dsyevr: int = 0, degenerate: int = 0) -> dict:
+    """``solve_counts`` after ``eigh`` and ``dsyevr`` matrices were asked for.
+
+    ``degenerate`` of the dsyevr matrices have a degenerate E0 or E1, so
+    numpy's ``eigh`` solves them again. Without a bundled dsyevr numpy's
+    ``eigh`` solves every matrix, each once.
+    """
+    if spectral._SYEVR is None:
+        return {"eigh": eigh + dsyevr, "eigvalsh": 0, "dsyevr": 0}
+    return {"eigh": eigh + degenerate, "eigvalsh": 0, "dsyevr": dsyevr}
 
 
 def golden_evaluations(width: float, s_tol: float) -> int:
@@ -440,14 +463,14 @@ class TestSingleScan:
 
     def test_consumers_read_the_trace(self, solve_counts):
         trace = gap_trace(chain_schedule(0.04), self.GRID)
-        solve_counts["eigh"] = 0
+        assert solve_counts == solves(eigh=self.GRID)  # 6 levels at dimension 32
+        solve_counts.update(eigh=0)
         min_gap(trace, s_tol=self.S_TOL)
-        assert solve_counts == {"eigh": self.REFINE, "eigvalsh": 0}
-        solve_counts["eigh"] = 0
+        assert solve_counts == solves(dsyevr=self.REFINE)
         overlap_trace(trace)
-        assert solve_counts["eigh"] == 0
-        epsilon(trace)
-        assert solve_counts["eigh"] == 19  # only the rescan around the arg-max
+        assert solve_counts == solves(dsyevr=self.REFINE)
+        epsilon(trace)  # only the rescan around the arg-max
+        assert solve_counts == solves(dsyevr=self.REFINE + 19)
 
     @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
     def test_analyze_solve_counts(self, tmp_path, solve_counts):
@@ -456,11 +479,12 @@ class TestSingleScan:
         rc = cli.main(["analyze", "--problem", str(path), "--grid", str(self.GRID),
                        "--s-tol", str(self.S_TOL), "--out", str(tmp_path / "run_")])
         assert rc == 0
-        assert solve_counts == {"eigh": self.GRID + 19 + self.REFINE, "eigvalsh": 0}
+        assert solve_counts == solves(eigh=self.GRID, dsyevr=19 + self.REFINE)
 
     def test_sweep_cell_solve_counts(self, solve_counts):
+        # Two levels throughout; E1 is degenerate at s = 0 only.
         _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
-        assert solve_counts == {"eigh": self.GRID + 19 + self.REFINE, "eigvalsh": 0}
+        assert solve_counts == solves(dsyevr=self.GRID + 19 + self.REFINE, degenerate=1)
 
 
 def sweep_schedule(delta_b: float, method: str) -> ScheduleSpec:
@@ -514,9 +538,9 @@ class TestGapSlopeRefiner:
         sched = sweep_schedule(delta_b, method)
         trace = gap_trace(sched, 2001)
         k = int(np.argmin(trace.gap))
-        solve_counts["eigh"] = 0
+        solve_counts.update(eigh=0, dsyevr=0)
         located = min_gap(trace, s_tol=self.S_TOL)
-        assert solve_counts["eigh"] <= 5
+        assert sum(solve_counts.values()) <= 5
         root = slope_root(sched, trace.grid[max(k - 1, 0)], trace.grid[min(k + 1, 2000)])
         # The hyperbola residual of the stoquastic 0.04 report moves by about
         # 0.025 x the shift of s*, so that cell needs s* far closer than s_tol.
@@ -531,9 +555,9 @@ class TestGapSlopeRefiner:
         trace = gap_trace(sched, 5)
         k = int(np.argmin(trace.gap))
         assert (k, trace.slope[k - 1] > 0.0, trace.slope[k + 1] > 0.0) == (3, True, True)
-        solve_counts["eigh"] = 0
+        solve_counts.update(eigh=0, dsyevr=0)
         located = min_gap(trace, s_tol=self.S_TOL)
-        assert solve_counts == {"eigh": golden_evaluations(0.5, self.S_TOL), "eigvalsh": 0}
+        assert solve_counts == solves(dsyevr=golden_evaluations(0.5, self.S_TOL))
         assert abs(located.s_star - slope_root(sched, 0.75, 0.77)) <= self.S_TOL
         assert located.interior
 
@@ -893,7 +917,9 @@ class TestStackFallback:
             assert np.array_equal(getattr(trace, name), getattr(expected, name))
 
     def test_failed_single_point_is_solved_once(self, monkeypatch):
-        # At dimension 256 a block holds one point.
+        # At dimension 256 a block holds one point. Without dsyevr numpy's
+        # eigh solves it.
+        monkeypatch.setattr(spectral, "_SYEVR", None)
         sched = random_schedule(8)
         failing = schedule_matrix(sched, 0.5)
         original = np.linalg.eigh
@@ -963,7 +989,9 @@ class TestLowestLevels:
         trace = gap_trace(dense_n9(), 3)
         refine = min_gap(trace, s_tol=1e-2)
         assert refine.delta_min <= trace.gap.min()
-        assert solve_counts == {"eigh": 0, "eigvalsh": 0}
+        # dsyevr's pick within the degenerate E1 at s = 0 stands above dimension 256.
+        assert solve_counts["eigh"] == solve_counts["eigvalsh"] == 0
+        assert solve_counts["dsyevr"] > 3
 
     def test_levels_and_gap_match_eigh(self, syevr, n9_trace):
         sched = n9_trace.schedule
@@ -1003,6 +1031,75 @@ class TestLowestLevels:
         w, _ = spectral._solve(h, 0.5, keep=2)
         assert np.array_equal(h, before)
         assert np.abs(w - np.linalg.eigvalsh(before)[:2]).max() <= 1e-11
+
+
+class TestKeptLevels:
+    """dsyevr for the kept levels up to dimension 256, against numpy's full eigh.
+
+    Below that dimension it runs where ``7 * (keep + 1) <= dim``.
+    """
+
+    GRID = 11
+
+    @pytest.mark.parametrize("n, levels", [(5, 2), (5, 3), (6, 6), (7, 6), (8, 6)])
+    def test_random_problems_match_eigh(self, syevr, solve_counts, n, levels):
+        sched = ScheduleSpec(problem=random_ising(np.random.default_rng(n), n))
+        trace = gap_trace(sched, self.GRID, levels)
+        assert solve_counts["dsyevr"] == self.GRID
+        for i, s in enumerate(trace.grid):
+            w, v = np.linalg.eigh(schedule_matrix(sched, s))
+            assert np.abs(trace.levels[i] - w[:levels]).max() <= 1e-11
+            assert np.abs(trace.ground_weights[i] - v[:, 0] ** 2).max() <= 1e-10
+            if s > 0.0:  # at s = 0 E1 is degenerate and the element depends on its vector
+                element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
+                assert abs(trace.element[i] - element) <= 1e-10
+
+    @pytest.mark.parametrize("sched", [chain_schedule(0.04), random_schedule(6)],
+                             ids=["dim32", "dim64"])
+    def test_degenerate_e1_keeps_eigh_vectors(self, syevr, solve_counts, monkeypatch, sched):
+        trace = gap_trace(sched, self.GRID, levels=2)
+        # dsyevr solves every point, and eigh solves s = 0 again.
+        assert solve_counts == solves(dsyevr=self.GRID, degenerate=1)
+        monkeypatch.setattr(spectral, "_SYEVR", None)
+        reference = gap_trace(sched, self.GRID, levels=2)
+        for name in ("element", "slope", "ground_weights"):
+            assert np.array_equal(getattr(trace, name)[0], getattr(reference, name)[0])
+
+    def test_nan_matrix_in_a_stack_names_its_s(self, syevr):
+        grid = np.linspace(0.0, 1.0, 11)
+        stack = schedule_matrix(chain_schedule(0.04), grid)
+        stack[3] = np.nan
+        failure = re.escape(f"at s={grid[3]}: dsyevr returned info=-6 with 0 of 3 levels")
+        with pytest.raises(EigensolverError, match=failure):
+            spectral._solve(stack, grid, keep=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=ising_problems(),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        grid=st.integers(2, 12),
+    )
+    def test_two_levels_agree_with_six(self, problem, driver, grid):
+        sched = ScheduleSpec(problem=problem, driver=driver)
+        two, six = gap_trace(sched, grid, levels=2), gap_trace(sched, grid, levels=6)
+        assert np.abs(two.levels - six.levels[:, :2]).max() <= 1e-11
+        # The vectors of E0 and E1, and so the element and the slope, are
+        # only as well conditioned as E1's distance to E0 and to E2: where
+        # that is below 1e-3, each solver's rounding moves them by more.
+        separated = np.diff(six.levels[:, :3], axis=1).min(axis=1) >= 1e-3
+        for name in ("element", "slope"):
+            difference = np.abs(getattr(two, name) - getattr(six, name))
+            assert np.all(difference[separated] <= 1e-11)
+
+    @pytest.mark.parametrize("sched", [chain_schedule(0.04, driver=NONSTOQUASTIC),
+                                       random_schedule(6), random_schedule(8)],
+                             ids=["dim32", "dim64", "dim256"])
+    def test_numpy_fallback_gives_same_trace(self, syevr, monkeypatch, sched):
+        trace = gap_trace(sched, 21, levels=2)
+        monkeypatch.setattr(spectral, "_SYEVR", None)
+        fallback = gap_trace(sched, 21, levels=2)
+        for name in ("levels", "element", "ground_weights", "slope"):
+            assert np.abs(getattr(trace, name) - getattr(fallback, name)).max() <= 1e-11
 
 
 class TestLapackeHandle:
