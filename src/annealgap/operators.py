@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .problems import IsingProblem, _energy
+from .problems import IsingProblem, ProblemFormatError, _energy
 
 DEFAULT_SPIN_CAP = 14
 
@@ -117,6 +117,11 @@ class ScheduleSpec:
         if self.driver not in (STOQUASTIC, NONSTOQUASTIC):
             raise ValueError(f"unknown driver {self.driver!r}")
         _check_cap(self.problem.n)
+        if self.driver == NONSTOQUASTIC:
+            top = np.abs(self.problem_diagonal).max()
+            if top > np.finfo(float).max / 2:
+                raise ProblemFormatError(f"energies up to |E| = {top:.6g} overflow the "
+                                         "non-stoquastic dH/ds, whose diagonal holds 2s E")
 
     @property
     def n(self) -> int:

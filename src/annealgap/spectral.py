@@ -18,38 +18,26 @@ separation); the margin keeps those out of reports while leaving genuine
 anti-crossings, which undercut the final gap by factors of 10 to 10^4,
 untouched.
 
-Every eigensolve goes through ``_solve``, which sets numpy's OpenBLAS thread
-count for it and picks the faster solver. LAPACK's ``dsyevr`` from the
-OpenBLAS numpy bundles computes only the levels kept; it solves every matrix
-above ``SERIAL_BLAS_MAX_DIM`` and, below it, every matrix of dimension at
-least 7 x (kept levels + 1), one call per matrix. numpy's ``eigh`` solves the
-whole spectrum of the rest, such as the 5-spin chain's 6-level scan, a stack
-at a time, and retries a failed stack one matrix at a time; without the
-bundled library it solves everything. Up to ``SERIAL_BLAS_MAX_DIM`` solves run
-on one OpenBLAS thread, where a second thread only spins, and a scan solves
-blocks of grid points as stacks, which a pool of one thread per usable core
-takes one at a time; its results equal those of one solve per point bit for
-bit. Larger matrices are scanned point by point on the calling thread, on one
-OpenBLAS thread per usable core when annealgap loaded numpy's OpenBLAS on one
-thread (see ``_blas``), and on the library's own count when numpy was
-imported first or a thread variable is set.
+Every eigensolve goes through ``_solve``, which picks numpy's ``eigh`` or
+LAPACK's ``dsyevr`` and runs on the OpenBLAS threads ``_blas`` grants it. A
+scan solves blocks of grid points as stacks, which a pool of one thread per
+usable core takes one at a time; its results equal those of one solve per
+point bit for bit.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _blas
+from ._blas import SERIAL_BLAS_MAX_DIM
 from .operators import ScheduleSpec, schedule_matrix
 from .problems import _finite, _integer
 
@@ -61,10 +49,6 @@ DEGENERACY_TOL = 1e-12
 #: as an anti-crossing.
 DEFAULT_UNDERCUT = 0.01
 
-#: Largest matrix dimension solved on one OpenBLAS thread. Measured on two
-#: cores: one thread is faster up to 256, two threads from 512 upward.
-SERIAL_BLAS_MAX_DIM = 256
-
 #: Bytes of stacked H(s) per block of a scan up to SERIAL_BLAS_MAX_DIM:
 #: 32 points at dimension 32, 2 at 128, 1 at 256. Measured on the 5-spin
 #: chain sweep on two cores: 128 KiB took 10% more CPU time, 512 KiB 1 MB
@@ -73,85 +57,6 @@ SCAN_BLOCK_BYTES = 256 << 10
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
-
-# (get threads, set threads, LAPACKE dsyevr, LAPACK integer) per OpenBLAS build:
-# the suffixed scipy-openblas build numpy bundles is ILP64, a plain one LP64.
-_BLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
-     "scipy_LAPACKE_dsyevr64_", ctypes.c_int64),
-    ("openblas_get_num_threads", "openblas_set_num_threads", "LAPACKE_dsyevr", ctypes.c_int),
-)
-
-
-def _openblas():
-    """Handles into numpy's bundled OpenBLAS: ((get, set) thread count, dsyevr).
-
-    Either part is None when no bundled library exports it.
-    """
-    try:
-        found = [ctypes.CDLL(str(path)) for path in _blas.LIBRARIES]
-    except OSError:  # an unloadable library
-        return None, None
-    for lib in found:
-        for get_name, set_name, syevr_name, lapack_int in _BLAS_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                syevr = getattr(lib, syevr_name, None)
-                if syevr is not None:
-                    ptr, real = ctypes.c_void_p, ctypes.c_double
-                    syevr.restype = lapack_int
-                    syevr.argtypes = [
-                        ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
-                        lapack_int, ptr, lapack_int, real, real, lapack_int, lapack_int,
-                        real, ctypes.POINTER(lapack_int), ptr, ptr, lapack_int, ptr,
-                    ]
-                return (get, set_), syevr
-    return None, None
-
-
-_BLAS, _SYEVR = _openblas()
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_saved = 0
-
-
-@contextmanager
-def _blas_threads(dim: int):
-    """numpy's OpenBLAS thread count for one solve of dimension ``dim``.
-
-    One thread up to ``SERIAL_BLAS_MAX_DIM``. Above it, one per usable core
-    when annealgap loaded the library on one thread (``_blas.LOADED_SERIAL``),
-    and otherwise the count the library has, as OpenBLAS or the user chose it.
-    The count is process-global, so concurrent solves share it: the first to
-    enter saves the library's count, each sets its own, and the last to leave
-    restores the saved count. A no-op without a bundled OpenBLAS.
-    """
-    global _blas_users, _blas_saved
-    if dim <= SERIAL_BLAS_MAX_DIM:
-        threads = 1
-    elif _blas.LOADED_SERIAL:
-        threads = _usable_cores()
-    else:
-        threads = None
-    if _BLAS is None or threads is None:
-        yield
-        return
-    get, set_ = _BLAS
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_saved = get()
-        _blas_users += 1
-        if get() != threads:
-            set_(threads)
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0 and get() != _blas_saved:
-                set_(_blas_saved)
 
 
 class EigensolverError(RuntimeError):
@@ -166,29 +71,30 @@ class FitWindowError(ValueError):
     """Too few trace points around the requested center for a fit."""
 
 
-def _failure(s: Optional[float], detail: str) -> EigensolverError:
-    """The error of a failed solve, naming s when known.
-
-    Built only on failure, for one matrix and its own s.
-    """
-    where = "" if s is None else f" at s={s}"
-    return EigensolverError(f"eigendecomposition failed{where}: {detail}")
+def _failure(s: float, detail: str) -> EigensolverError:
+    """The error of a failed solve of one matrix, naming its s."""
+    return EigensolverError(f"eigendecomposition failed at s={s}: {detail}")
 
 
-def _solve(matrix: np.ndarray, s: Optional[float] = None, *, keep: int):
-    """The ``keep`` lowest levels, with eigenvectors as columns, of a matrix or a stack.
+def _degenerate(spacing: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Where ``spacing`` is below DEGENERACY_TOL x max(1, max |level|) of its row of ``levels``."""
+    return spacing < DEGENERACY_TOL * np.maximum(1.0, np.abs(levels).max(axis=-1))
 
-    Every solve runs inside ``_blas_threads``, on the OpenBLAS thread count
-    its dimension gets. LAPACK's dsyevr, which computes only the levels asked
-    for, solves one matrix at a time above ``SERIAL_BLAS_MAX_DIM`` and
-    wherever ``7 * (keep + 1) <= dim``, where it beats a full ``eigh`` (see
-    ``_lowest``); otherwise numpy's ``eigh`` solves the whole spectrum of a
-    matrix or of a (B, dim, dim) stack. Either way the first failing matrix
-    raises EigensolverError naming its own entry of ``s``.
+
+def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
+    """The ``keep`` lowest levels, with eigenvectors as columns, of a matrix or a stack at ``s``.
+
+    LAPACK's dsyevr, which computes only the levels asked for, solves one
+    matrix at a time above ``SERIAL_BLAS_MAX_DIM`` and wherever
+    ``7 * (keep + 1) <= dim``, where it beats a full ``eigh`` (see
+    ``_lowest``); otherwise, or without the bundled library, numpy's ``eigh``
+    solves the whole spectrum of a matrix or of a (B, dim, dim) stack. Either
+    way the first failing matrix raises EigensolverError naming its own entry
+    of ``s``.
     """
     dim = matrix.shape[-1]
-    with _blas_threads(dim):
-        if _SYEVR is not None and (dim > SERIAL_BLAS_MAX_DIM or 7 * (keep + 1) <= dim):
+    with _blas.threads(dim):
+        if _blas.SYEVR is not None and (dim > SERIAL_BLAS_MAX_DIM or 7 * (keep + 1) <= dim):
             return _lowest(matrix, s, keep)
         return _eigh(matrix, s, keep)
 
@@ -218,7 +124,7 @@ def _lowest(matrix: np.ndarray, s, keep: int):
     dim = matrix.shape[-1]
     stack = matrix.reshape(-1, dim, dim)
     count = len(stack)
-    points = [None] * count if s is None else np.ravel(s)
+    points = np.ravel(s)
     fallback = dim <= SERIAL_BLAS_MAX_DIM
     asked = keep + 1 if fallback else keep
     if fallback:
@@ -227,7 +133,8 @@ def _lowest(matrix: np.ndarray, s, keep: int):
     else:
         stack = np.require(stack, np.float64, ["C", "W"])  # copies only a read-only input
         a_ptr, a_step = stack.ctypes.data, stack.strides[0]
-    lapack_int = _SYEVR.restype
+    syevr = _blas.SYEVR
+    lapack_int = syevr.restype
     found = lapack_int()
     found_ref = ctypes.byref(found)
     w = np.empty((count, dim))  # dsyevr may use all dim entries of each row
@@ -240,7 +147,7 @@ def _lowest(matrix: np.ndarray, s, keep: int):
         found.value = 0
         # Column-major (102) reads the C-ordered symmetric matrix unchanged and
         # writes each eigenvector contiguously, as one row of ``v[i]``.
-        info = _SYEVR(
+        info = syevr(
             102, b"V", b"I", b"L", dim, a_ptr + i * a_step, dim, 0.0, 0.0, 1, asked, 0.0,
             found_ref, w_ptr + i * w.strides[0], v_ptr + i * v.strides[0], dim, support_ptr,
         )
@@ -249,9 +156,8 @@ def _lowest(matrix: np.ndarray, s, keep: int):
             raise _failure(points[i], detail)
     if fallback:
         levels = w[:, :asked]
-        scale = np.maximum(1.0, np.abs(levels).max(axis=1))
         spacing = np.diff(levels[:, :3], axis=1).min(axis=1)
-        for i in np.flatnonzero(spacing <= DEGENERACY_TOL * scale):
+        for i in np.flatnonzero(_degenerate(spacing, levels)):
             w[i, :keep], vectors = _eigh(stack[i], points[i], keep)
             v[i, :keep] = vectors.T
     vectors = v[:, :keep].swapaxes(1, 2)
@@ -314,13 +220,6 @@ class HyperbolaFit:
     points: int
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
     """Levels, |<E1| dH/ds |E0>|, ground weights and gap slope at one s or a 1-D block of s.
 
@@ -345,15 +244,15 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
     one point each above ``SERIAL_BLAS_MAX_DIM``. Up to that dimension a pool
     of one thread per usable core takes the blocks one at a time; numpy
     releases the GIL inside a stacked solve, so the blocks overlap. With one
-    worker (one block, one core, or a larger matrix, where dsyevr and the
-    library's own BLAS threads do the work) the calling thread solves the
-    blocks itself. Results are drained in grid order, so a
-    failure reports the first failing s, and do not depend on the thread count.
+    worker (one block, one core, or a larger matrix, whose solve gets the
+    BLAS threads) the calling thread solves the blocks itself. Results are
+    drained in grid order, so a failure reports the first failing s, and do
+    not depend on the thread count.
     """
     dim = 1 << sched.n
     size = max(1, SCAN_BLOCK_BYTES // (8 * dim * dim))
     starts = range(0, len(grid), size)
-    workers = min(_usable_cores(), len(starts)) if dim <= SERIAL_BLAS_MAX_DIM else 1
+    workers = min(_blas.usable_cores(), len(starts)) if dim <= SERIAL_BLAS_MAX_DIM else 1
     table = np.empty((len(grid), keep))
     element = np.empty(len(grid))
     weights = np.empty((len(grid), dim))
@@ -387,8 +286,7 @@ def gap_trace(
 
 def _check_nondegenerate(trace: SpectralTrace, message: str) -> None:
     """Raise DegenerateLevelsError at the first grid point where E0 and E1 coincide."""
-    scale = np.maximum(1.0, np.abs(trace.levels).max(axis=1))
-    hits = np.flatnonzero(trace.gap < DEGENERACY_TOL * scale)
+    hits = np.flatnonzero(_degenerate(trace.gap, trace.levels))
     if hits.size:
         raise DegenerateLevelsError(message.format(s=trace.grid[hits[0]]))
 
@@ -464,8 +362,6 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
     the scan's ``_solve_points`` and ``_solve``. Returns the best point
     evaluated, or grid point k itself when no evaluation undercuts its gap.
     """
-    if not _finite(s_tol, "s_tol") > 0:
-        raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
     grid, sched, slopes = trace.grid, trace.schedule, trace.slope
     best = float(grid[k]), float(trace.gap[k])
     lo, hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
@@ -498,6 +394,8 @@ def min_gap(trace: SpectralTrace, s_tol: float = 1e-6) -> MinGapResult:
     significant anti-crossing); shallow end-of-schedule minima are reported
     with interior=False.
     """
+    if not _finite(s_tol, "s_tol") > 0:
+        raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
     gaps = trace.gap
     s_star, delta = _refine(trace, int(np.argmin(gaps)), s_tol)
     significant = delta < (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
@@ -513,6 +411,8 @@ def detect_anticrossing(trace: SpectralTrace, s_tol: float = 1e-6) -> list[AntiC
     ``DEFAULT_UNDERCUT``; an empty list means the gap is monotone, minimized
     only at an endpoint, or dips by less than the margin.
     """
+    if not _finite(s_tol, "s_tol") > 0:
+        raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
     gaps = trace.gap
     threshold = (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
     minima = [k for k in range(1, len(gaps) - 1) if gaps[k - 1] > gaps[k] < gaps[k + 1]]

@@ -212,6 +212,20 @@ class TestAnalyze:
         assert "overflow the float range" in capsys.readouterr().err
         assert not list(tmp_path.glob("huge_*"))
 
+    def test_nonstoquastic_derivative_overflow_is_input_error(self, tmp_path, capsys):
+        # Each energy is finite, but 2s E on the non-stoquastic dH/ds is not.
+        bad = tmp_path / "half.json"
+        doc = {"form": "ising", "n": 2, "quadratic": [], "linear": [8e307, 8e307]}
+        bad.write_text(json.dumps(doc))
+        rc = main(["analyze", "--problem", str(bad), "--driver", "nonstoq", "--grid", "51",
+                   "--out", str(tmp_path / "ns_")])
+        assert rc == 2
+        assert "overflow the non-stoquastic dH/ds" in capsys.readouterr().err
+        assert not list(tmp_path.glob("ns_*"))
+        assert main(["analyze", "--problem", str(bad), "--grid", "51",
+                     "--out", str(tmp_path / "stoq_")]) == 0
+        assert json.loads((tmp_path / "stoq_report.json").read_text())["delta_min"] == 2.0
+
     def test_short_linear_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps({"form": "ising", "n": 3, "quadratic": [], "linear": []}))

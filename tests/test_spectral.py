@@ -81,20 +81,20 @@ class TestFullSpectrum:
     and ||V^T V - I||_max <= 1e-10."""
 
     def test_pauli_x(self):
-        w, v = spectral._solve(np.array([[0.0, 1.0], [1.0, 0.0]]), keep=2)
+        w, v = spectral._solve(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5, keep=2)
         assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
         assert np.allclose(v.T @ v, np.eye(2), atol=1e-12)
 
     def test_diagonal_operator(self):
         diag = np.array([3.0, -1.0, 2.0, 0.0])
-        w, v = spectral._solve(np.diag(diag), keep=4)
+        w, v = spectral._solve(np.diag(diag), 0.5, keep=4)
         assert np.array_equal(w, np.sort(diag))
         assert np.allclose(np.abs(v), np.abs(v.round()), atol=1e-12)
 
     def test_residual_contract_random(self, rng):
         a = rng.normal(size=(32, 32))
         m = a + a.T
-        w, v = spectral._solve(m, keep=32)
+        w, v = spectral._solve(m, 0.5, keep=32)
         scale = np.abs(m).max()
         assert np.abs(m - v @ np.diag(w) @ v.T).max() <= 1e-9 * scale
         assert np.abs(v.T @ v - np.eye(32)).max() <= 1e-10
@@ -270,9 +270,12 @@ class TestDetectAnticrossing:
 
     @pytest.mark.parametrize("s_tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, s_tol):
-        # the 0.04 chain has one interior minimum to refine
-        with pytest.raises(ValueError, match="s_tol"):
-            detect_anticrossing(gap_trace(chain_schedule(0.04), 101), s_tol=s_tol)
+        # the 0.04 chain has one interior minimum to refine, its pivot-2
+        # transform none: the tolerance is checked either way
+        for trace in (gap_trace(chain_schedule(0.04), 101),
+                      gap_trace(chain_schedule(0.04, pivot=2), 201)):
+            with pytest.raises(ValueError, match="s_tol"):
+                detect_anticrossing(trace, s_tol=s_tol)
 
 
 class TestEpsilon:
@@ -409,7 +412,7 @@ def solve_counts(monkeypatch):
     """Matrices diagonalized by each dense symmetric eigensolver while the test runs.
 
     numpy's ``eigh`` and ``eigvalsh`` count each matrix of a stacked call;
-    LAPACK's dsyevr, called through ``spectral._SYEVR`` once per matrix,
+    LAPACK's dsyevr, called through ``_blas.SYEVR`` once per matrix,
     counts each call.
     """
     counts = {"eigh": 0, "eigvalsh": 0, "dsyevr": 0}
@@ -421,15 +424,15 @@ def solve_counts(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    if spectral._SYEVR is not None:
-        syevr = spectral._SYEVR
+    if _blas.SYEVR is not None:
+        syevr = _blas.SYEVR
 
         def dsyevr(*args):
             counts["dsyevr"] += 1
             return syevr(*args)
 
         dsyevr.restype = syevr.restype
-        monkeypatch.setattr(spectral, "_SYEVR", dsyevr)
+        monkeypatch.setattr(_blas, "SYEVR", dsyevr)
     return counts
 
 
@@ -440,7 +443,7 @@ def solves(eigh: int = 0, dsyevr: int = 0, degenerate: int = 0) -> dict:
     numpy's ``eigh`` solves them again. Without a bundled dsyevr numpy's
     ``eigh`` solves every matrix, each once.
     """
-    if spectral._SYEVR is None:
+    if _blas.SYEVR is None:
         return {"eigh": eigh + dsyevr, "eigvalsh": 0, "dsyevr": 0}
     return {"eigh": eigh + degenerate, "eigvalsh": 0, "dsyevr": dsyevr}
 
@@ -644,30 +647,30 @@ def blas_threads(monkeypatch):
     installs there: a matrix whose solve fails counts too. Each dsyevr call
     counts one matrix.
     """
-    if spectral._BLAS is None:
+    if _blas._BLAS is None:
         pytest.skip("no bundled OpenBLAS handle: the thread guard is a no-op")
-    startup = spectral._BLAS[0]()
+    startup = _blas._BLAS[0]()
     if startup == 1:
         pytest.skip("OpenBLAS already runs one thread: the guard changes nothing")
     seen = []
 
     def eigh(matrix, *args, **kwargs):
-        seen.extend([spectral._BLAS[0]()] * matrices(matrix))
+        seen.extend([_blas._BLAS[0]()] * matrices(matrix))
         return np.linalg.eigh(matrix, *args, **kwargs)
 
     linalg = SimpleNamespace(**{**vars(np.linalg), "eigh": eigh})
     monkeypatch.setattr(spectral, "np", SimpleNamespace(**{**vars(np), "linalg": linalg}))
-    if spectral._SYEVR is not None:
-        syevr = spectral._SYEVR
+    if _blas.SYEVR is not None:
+        syevr = _blas.SYEVR
 
         def dsyevr(*args):
-            seen.append(spectral._BLAS[0]())
+            seen.append(_blas._BLAS[0]())
             return syevr(*args)
 
         dsyevr.restype = syevr.restype
-        monkeypatch.setattr(spectral, "_SYEVR", dsyevr)
+        monkeypatch.setattr(_blas, "SYEVR", dsyevr)
     yield startup, seen
-    assert spectral._BLAS[0]() == startup
+    assert _blas._BLAS[0]() == startup
 
 
 class TestSerialBlas:
@@ -697,17 +700,17 @@ class TestSerialBlas:
             gap_trace(chain_schedule(0.04), 11)
         # The block of all 11 points, then point by point up to the failing one.
         assert seen == [1] * (11 + 2)
-        assert spectral._BLAS[0]() == startup
+        assert _blas._BLAS[0]() == startup
 
     def test_last_overlapping_user_restores(self, blas_threads):
         startup, _ = blas_threads
-        first, second = spectral._blas_threads(32), spectral._blas_threads(32)
+        first, second = _blas.threads(32), _blas.threads(32)
         first.__enter__()
         second.__enter__()
         first.__exit__(None, None, None)
-        assert spectral._BLAS[0]() == 1
+        assert _blas._BLAS[0]() == 1
         second.__exit__(None, None, None)
-        assert spectral._BLAS[0]() == startup
+        assert _blas._BLAS[0]() == startup
 
     def test_concurrent_users_share_the_count(self, blas_threads):
         startup, _ = blas_threads
@@ -715,9 +718,9 @@ class TestSerialBlas:
 
         def user():
             for _ in range(500):
-                with spectral._blas_threads(32):
+                with _blas.threads(32):
                     np.linalg.eigvalsh(np.eye(32))
-                    inside.append(spectral._BLAS[0]())
+                    inside.append(_blas._BLAS[0]())
 
         workers = [threading.Thread(target=user) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -731,7 +734,7 @@ class TestSerialBlas:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert len(inside) == 2000 and set(inside) == {1}
-        assert spectral._BLAS[0]() == startup
+        assert _blas._BLAS[0]() == startup
 
     def test_count_restored_after_threaded_sweep(self, blas_threads, tmp_path):
         startup, seen = blas_threads
@@ -739,7 +742,7 @@ class TestSerialBlas:
         assert cli.main(["sweep", "--delta-b", "0.04,0.08", "--methods", "stoquastic,eltip-k1",
                          "--grid", "51", "--workers", "4", "--out", str(out)]) == 0
         assert len(seen) > 4 * 51 and set(seen) == {1}
-        assert spectral._BLAS[0]() == startup
+        assert _blas._BLAS[0]() == startup
 
 
 #: Run in a fresh interpreter after FIRST: import annealgap, report OpenBLAS's
@@ -751,25 +754,25 @@ import annealgap
 from annealgap import _blas, spectral
 import numpy as np
 
-get = spectral._BLAS[0]
+get = _blas._BLAS[0]
 report = {{
     "count": get(),
     "tasks": len(os.listdir("/proc/self/task")),
     "variables": {{name: os.environ.get(name) for name in _blas.THREAD_VARIABLES}},
     "loaded_serial": _blas.LOADED_SERIAL,
-    "cores": spectral._usable_cores(),
+    "cores": _blas.usable_cores(),
     "seen": [],
 }}
-syevr = spectral._SYEVR
+syevr = _blas.SYEVR
 
 def dsyevr(*args):
     report["seen"].append(get())
     return syevr(*args)
 
 dsyevr.restype = syevr.restype
-spectral._SYEVR = dsyevr
+_blas.SYEVR = dsyevr
 matrix = np.random.default_rng(0).standard_normal((512, 512))
-spectral._solve(matrix + matrix.T, keep=2)
+spectral._solve(matrix + matrix.T, 0.5, keep=2)
 report["after"] = get()
 print(json.dumps(report))
 """
@@ -782,7 +785,7 @@ class TestBlasAtLoad:
     def probe(first: str = "", **variables: str) -> dict:
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task to count the process's threads")
-        if spectral._BLAS is None or spectral._SYEVR is None:
+        if _blas._BLAS is None or _blas.SYEVR is None:
             pytest.skip("no bundled OpenBLAS handle: annealgap leaves the library alone")
         env = {k: v for k, v in os.environ.items() if k not in _blas.THREAD_VARIABLES}
         src = str(Path(annealgap.__file__).resolve().parents[1])
@@ -803,7 +806,7 @@ class TestBlasAtLoad:
         assert report["seen"] == [report["cores"]] and report["after"] == 1
 
     def test_user_variable_is_kept(self):
-        if spectral._usable_cores() < 2:
+        if _blas.usable_cores() < 2:
             pytest.skip("OpenBLAS caps its count at the cores it may use, here 1")
         report = self.probe(OPENBLAS_NUM_THREADS="2")
         assert report["loaded_serial"] is False
@@ -835,14 +838,14 @@ class TestThreadIndependence:
     @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
     def test_unguarded_run_is_bitwise_equal(self, monkeypatch, driver):
         guarded = self.run(driver)
-        monkeypatch.setattr(spectral, "_BLAS", None)
+        monkeypatch.setattr(_blas, "_BLAS", None)
         self.assert_bitwise_equal(guarded, self.run(driver))
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
     def test_scan_worker_count_is_bitwise_equal(self, monkeypatch, driver, workers):
         default = self.run(driver)
-        monkeypatch.setattr(spectral, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(_blas, "usable_cores", lambda: workers)
         self.assert_bitwise_equal(default, self.run(driver))
 
 
@@ -875,18 +878,18 @@ class TestBlockFailure:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return original(matrix)
 
-        monkeypatch.setattr(spectral, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_blas, "usable_cores", lambda: 2)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         return re.escape(f"at s={self.GRID[self.EARLIER]}:")
 
     def test_first_failing_s_in_grid_order(self, failing_eigh):
-        startup = spectral._BLAS[0]() if spectral._BLAS else None
+        startup = _blas._BLAS[0]() if _blas._BLAS else None
         before = set(threading.enumerate())
         with pytest.raises(EigensolverError, match=failing_eigh):
             gap_trace(chain_schedule(0.04), len(self.GRID))
         assert set(threading.enumerate()) == before  # no pool thread outlives the scan
         if startup is not None:
-            assert spectral._BLAS[0]() == startup
+            assert _blas._BLAS[0]() == startup
 
     def test_analyze_exits_3_without_report(self, failing_eigh, tmp_path, capsys):
         path = tmp_path / "chain.json"
@@ -919,7 +922,7 @@ class TestStackFallback:
     def test_failed_single_point_is_solved_once(self, monkeypatch):
         # At dimension 256 a block holds one point. Without dsyevr numpy's
         # eigh solves it.
-        monkeypatch.setattr(spectral, "_SYEVR", None)
+        monkeypatch.setattr(_blas, "SYEVR", None)
         sched = random_schedule(8)
         failing = schedule_matrix(sched, 0.5)
         original = np.linalg.eigh
@@ -952,11 +955,11 @@ class TestBlockScanProperty:
     @example(problem=chain_schedule(0.04).problem, driver=NONSTOQUASTIC, grid=2, workers=3)
     def test_matches_per_point_reference(self, problem, driver, grid, workers):
         sched = ScheduleSpec(problem=problem, driver=driver)
-        with mock.patch.object(spectral, "_usable_cores", lambda: workers):
+        with mock.patch.object(_blas, "usable_cores", lambda: workers):
             trace = gap_trace(sched, grid)
         keep = trace.levels.shape[1]
         for i, s in enumerate(trace.grid):
-            w, v = spectral._solve(schedule_matrix(sched, s), keep=keep)
+            w, v = spectral._solve(schedule_matrix(sched, s), s, keep=keep)
             element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
             assert np.array_equal(trace.levels[i], w)
             assert np.array_equal(trace.element[i], element)
@@ -975,9 +978,9 @@ def n9_trace():
 
 @pytest.fixture
 def syevr():
-    if spectral._SYEVR is None:
+    if _blas.SYEVR is None:
         pytest.skip("no bundled LAPACKE dsyevr: every solve takes the numpy path")
-    return spectral._SYEVR
+    return _blas.SYEVR
 
 
 class TestLowestLevels:
@@ -1060,7 +1063,7 @@ class TestKeptLevels:
         trace = gap_trace(sched, self.GRID, levels=2)
         # dsyevr solves every point, and eigh solves s = 0 again.
         assert solve_counts == solves(dsyevr=self.GRID, degenerate=1)
-        monkeypatch.setattr(spectral, "_SYEVR", None)
+        monkeypatch.setattr(_blas, "SYEVR", None)
         reference = gap_trace(sched, self.GRID, levels=2)
         for name in ("element", "slope", "ground_weights"):
             assert np.array_equal(getattr(trace, name)[0], getattr(reference, name)[0])
@@ -1096,7 +1099,7 @@ class TestKeptLevels:
                              ids=["dim32", "dim64", "dim256"])
     def test_numpy_fallback_gives_same_trace(self, syevr, monkeypatch, sched):
         trace = gap_trace(sched, 21, levels=2)
-        monkeypatch.setattr(spectral, "_SYEVR", None)
+        monkeypatch.setattr(_blas, "SYEVR", None)
         fallback = gap_trace(sched, 21, levels=2)
         for name in ("levels", "element", "ground_weights", "slope"):
             assert np.abs(getattr(trace, name) - getattr(fallback, name)).max() <= 1e-11
@@ -1107,10 +1110,10 @@ class TestLapackeHandle:
         libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
         if not any(libs.glob("*openblas*")):
             pytest.skip("numpy bundles no OpenBLAS")
-        assert spectral._SYEVR is not None
+        assert _blas.SYEVR is not None
 
     def test_numpy_fallback_gives_same_trace(self, syevr, n9_trace, monkeypatch):
-        monkeypatch.setattr(spectral, "_SYEVR", None)
+        monkeypatch.setattr(_blas, "SYEVR", None)
         fallback = gap_trace(dense_n9(), 5)
         for name in ("levels", "gap", "ground_weights"):
             assert np.abs(getattr(n9_trace, name) - getattr(fallback, name)).max() <= 1e-11
@@ -1129,7 +1132,7 @@ class TestLapackeFailure:
             return 3
 
         fail.restype = syevr.restype
-        monkeypatch.setattr(spectral, "_SYEVR", fail)
+        monkeypatch.setattr(_blas, "SYEVR", fail)
         with pytest.raises(EigensolverError, match=r"at s=0\.5: dsyevr returned info=3"):
             spectral._solve(schedule_matrix(dense_n9(), 0.5), 0.5, keep=6)
 
@@ -1138,7 +1141,7 @@ class TestLapackeFailure:
             return 0
 
         none_found.restype = syevr.restype
-        monkeypatch.setattr(spectral, "_SYEVR", none_found)
+        monkeypatch.setattr(_blas, "SYEVR", none_found)
         with pytest.raises(EigensolverError, match=r"at s=0\.5: .* 0 of 2 levels"):
             spectral._solve(schedule_matrix(dense_n9(), 0.5), 0.5, keep=2)
 
