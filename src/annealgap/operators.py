@@ -122,6 +122,14 @@ class ScheduleSpec:
             if top > np.finfo(float).max / 2:
                 raise ProblemFormatError(f"energies up to |E| = {top:.6g} overflow the "
                                          "non-stoquastic dH/ds, whose diagonal holds 2s E")
+        # E1 - E0 of H_P is the gap at s = 1, and the gap slope there is that
+        # spread times H_P's factor in dH/ds: 1, or 2s for the non-stoquastic driver.
+        low, next_low = sorted(self.problem_diagonal.tolist())[:2]
+        factor = 2.0 if self.driver == NONSTOQUASTIC else 1.0
+        if factor * (next_low - low) == np.inf:
+            raise ProblemFormatError(f"the spread E1 - E0 of the two lowest energies, {low:.6g} "
+                                     f"and {next_low:.6g}, overflows the gap slope "
+                                     f"{factor:g} (E1 - E0) at s = 1")
 
     @property
     def n(self) -> int:

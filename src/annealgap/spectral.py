@@ -352,6 +352,33 @@ def _golden(f, lo: float, hi: float, xtol: float) -> None:
             fd = f(d)
 
 
+def _fibonacci(f, count: int) -> float:
+    """The largest value of ``f`` that a Fibonacci search over ``range(count)`` sees.
+
+    The discrete ``_golden``, for a maximum: the open bracket
+    (lo, lo + small + large) has a Fibonacci width, and of its probes at
+    lo + small and lo + large the better one is a probe of the next, narrower
+    bracket. Indices from ``count`` on count as -inf and are never evaluated.
+    Where f is unimodal over the indices, the result is its maximum.
+    """
+    small, large = 1, 1
+    while small + large <= count:
+        small, large = large, small + large
+    seen = {}
+
+    def probe(j: int) -> float:
+        if j not in seen:
+            seen[j] = f(j) if j < count else -math.inf
+        return seen[j]
+
+    lo = -1
+    while small < large:
+        if probe(lo + small) < probe(lo + large):
+            lo += small
+        small, large = large - small, small
+    return max(probe(lo + 1), *seen.values())
+
+
 def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
     """Minimum of the gap between the grid neighbours of index k, to ``s_tol`` in s.
 
@@ -428,19 +455,27 @@ def epsilon(trace: SpectralTrace) -> float:
     gap-normalised element |<E1| dH/ds |E0>| / (E1 - E0) is a different
     quantity and is not what this returns.
 
-    The grid around the arg-max is refined once at ten times the resolution:
-    19 new points between its grid neighbours, whose elements the trace holds.
-    Raises DegenerateLevelsError when E0 and E1 coincide at an evaluation
-    point, where the matrix element is not basis-independent.
+    The grid arg-max is refined at ten times the resolution: a Fibonacci
+    search of the 19 samples between its grid neighbours solves at most 6 of
+    them, and where the element is unimodal across that bracket (as
+    ``_refine`` assumes of the gap) it finds the largest of the 19. Raises
+    DegenerateLevelsError when E0 and E1 coincide at a grid point or a
+    visited sample, where the matrix element is not basis-independent.
     """
     degenerate = "E0 and E1 are degenerate at s={s}; transition element undefined"
     _check_nondegenerate(trace, degenerate)
     grid = trace.grid
     i = int(np.argmax(trace.element))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    fine = _scan(trace.schedule, np.linspace(lo, hi, 21)[1:-1], 2)
-    _check_nondegenerate(fine, degenerate)
-    return float(max(trace.element[i], fine.element.max()))
+    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 21)[1:-1]
+
+    def ev(j: int) -> float:
+        """The element at sample j."""
+        w, element, _, _ = _solve_points(trace.schedule, fine[j], 2)
+        if _degenerate(w[1] - w[0], w):
+            raise DegenerateLevelsError(degenerate.format(s=fine[j]))
+        return element
+
+    return float(max(trace.element[i], _fibonacci(ev, len(fine))))
 
 
 def t_approx(delta_min: float) -> float:

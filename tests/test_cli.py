@@ -226,6 +226,20 @@ class TestAnalyze:
                      "--out", str(tmp_path / "stoq_")]) == 0
         assert json.loads((tmp_path / "stoq_report.json").read_text())["delta_min"] == 2.0
 
+    @pytest.mark.parametrize("driver, message", [
+        ("stoq", "spread E1 - E0 of the two lowest energies, -1e+308 and 1e+308, overflows"),
+        ("nonstoq", "overflow the non-stoquastic dH/ds"),
+    ])
+    def test_overflowing_final_gap_is_input_error(self, tmp_path, capsys, driver, message):
+        # E = +-1e308: each energy is finite, but E1 - E0 is not.
+        bad = tmp_path / "spread.json"
+        bad.write_text(json.dumps({"form": "ising", "n": 1, "quadratic": [], "linear": [1e308]}))
+        rc = main(["analyze", "--problem", str(bad), "--driver", driver, "--grid", "51",
+                   "--out", str(tmp_path / "spread_")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("spread_*"))
+
     def test_short_linear_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps({"form": "ising", "n": 3, "quadratic": [], "linear": []}))

@@ -1,15 +1,20 @@
 """Coefficient-exchange transform: golden rows, algebra laws, spectra, back-mapping."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annealgap import (
     IsingProblem,
     MisChainSpec,
     ProblemFormatError,
+    ScheduleSpec,
     SpinAssignment,
     back_map,
     compose_swap,
+    gap_trace,
     mis_chain,
     problem_diagonal,
     qubo_to_ising,
@@ -17,11 +22,13 @@ from annealgap import (
     transform,
 )
 from conftest import (
+    PAULI_X,
     ROW_ISING,
     ROW_ISING_H0,
     assert_coefficients,
     dense_ising_energy,
     enumerate_ising,
+    ising_problems,
     kron_problem,
     random_ising,
 )
@@ -221,3 +228,46 @@ class TestChainPipeline:
             for k in range(5):
                 shuffled = np.sort(problem_diagonal(transform(ising, k)))
                 assert np.max(np.abs(shuffled - reference)) <= 1e-9
+
+
+def kron_flips(n: int, spins) -> np.ndarray:
+    """The product of X_i over ``spins`` from Kronecker products (spin i is bit i)."""
+    return reduce(np.kron, [PAULI_X if i in spins else np.eye(2) for i in reversed(range(n))])
+
+
+class TestFlipDriverOracle:
+    """The pivot-k schedule is the original problem under the driver
+    sum_{i != k} X_i + prod_j X_j, conjugated by the controlled-flip fan."""
+
+    #: Below this relative separation from a neighbouring level, the two
+    #: eigensolvers' vectors of E0 or E1 may differ by more than 1e-10.
+    SEPARATION = 1e-5
+
+    def check(self, p: IsingProblem, k: int, grid: int) -> None:
+        n = p.n
+        trace = gap_trace(ScheduleSpec(problem=transform(p, k)), grid, levels=3)
+        flips = sum(kron_flips(n, {i}) for i in range(n) if i != k) + kron_flips(n, range(n))
+        energies = kron_problem(p)
+        perm = conjugation_permutation(n, k)
+        for i, s in enumerate(trace.grid):
+            w, v = np.linalg.eigh((1.0 - s) * flips + s * energies)
+            w, v = w[:3], v[:, :3]
+            scale = np.maximum(1.0, np.abs(w))
+            assert np.all(np.abs(trace.levels[i] - w[:len(trace.levels[i])]) <= 1e-12 * scale)
+            spacing = np.diff(w) / scale.max()
+            if spacing[0] > self.SEPARATION:
+                assert np.abs(trace.ground_weights[i] - v[perm, 0] ** 2).max() <= 1e-10
+                if len(spacing) < 2 or spacing[1] > self.SEPARATION:
+                    element = abs(v[:, 1] @ (energies - flips) @ v[:, 0])
+                    assert abs(trace.element[i] - element) <= 1e-10
+
+    @pytest.mark.parametrize("delta_b", [0.01, 0.04, 0.08])
+    def test_chain(self, delta_b):
+        p = qubo_to_ising(mis_chain(MisChainSpec(delta_b)))
+        for k in range(p.n):
+            self.check(p, k, 101)
+
+    @settings(max_examples=25, deadline=None)
+    @given(problem=ising_problems(), pivot=st.integers(0, 5))
+    def test_random_problems(self, problem, pivot):
+        self.check(problem, pivot % problem.n, 21)

@@ -17,6 +17,7 @@ from annealgap import (
     STOQUASTIC,
     ScheduleSpec,
     SpinAssignment,
+    gap_trace,
     hamiltonian_at,
     mis_chain,
     problem_diagonal,
@@ -304,6 +305,32 @@ class TestScheduleSpec:
     def test_cap_applies_to_schedule(self):
         with pytest.raises(ValueError, match="at most 14"):
             ScheduleSpec(problem=IsingProblem(n=15, J={}, h=(0,) * 15))
+
+    def test_overflowing_final_gap_rejected(self):
+        # Energies +-1e308 are finite, but E1 - E0 = 2e308 is not; the run
+        # turns any RuntimeWarning into an error, so none may be emitted.
+        problem = IsingProblem(n=1, J={}, h=(1e308,))
+        with pytest.raises(ProblemFormatError, match=r"spread E1 - E0 of the two lowest "
+                                                     r"energies, -1e\+308 and 1e\+308"):
+            ScheduleSpec(problem=problem)
+        with pytest.raises(ProblemFormatError, match="overflow the non-stoquastic dH/ds"):
+            ScheduleSpec(problem=problem, driver=NONSTOQUASTIC)
+
+    def test_nonstoquastic_gap_slope_doubles_the_spread(self):
+        # |E| = 8.3e307 passes the 2 max|E| bound, but the non-stoquastic gap
+        # slope 2 (E1 - E0) = 3.3e308 at s = 1 does not fit a float.
+        problem = IsingProblem(n=1, J={}, h=(-8.26e307,))
+        with pytest.raises(ProblemFormatError, match=r"gap slope 2 \(E1 - E0\) at s = 1"):
+            ScheduleSpec(problem=problem, driver=NONSTOQUASTIC)
+        trace = gap_trace(ScheduleSpec(problem=problem), 11)
+        assert trace.gap[-1] == 2 * 8.26e307
+
+    def test_wide_spread_above_the_two_lowest_accepted(self):
+        # max E - min E = 3.2e308 overflows, but E1 - E0 = 1.6e308 and every
+        # stoquastic gap and slope stay finite.
+        sched = ScheduleSpec(problem=IsingProblem(n=2, J={}, h=(8e307, 8e307)))
+        trace = gap_trace(sched, 11)
+        assert np.isfinite(trace.gap).all() and np.isfinite(trace.slope).all()
 
     def test_index_arrays_cached_and_reused(self):
         sched = ScheduleSpec(problem=IsingProblem(n=3, J={}, h=(1.0, 0.5, -0.5)),

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from annealgap import (
     DegenerateLevelsError,
@@ -309,6 +309,57 @@ class TestEpsilon:
         with pytest.raises(DegenerateLevelsError, match="s=1.0"):
             epsilon(gap_trace(sched, 101))
 
+    @staticmethod
+    def search_and_exhaustive(sched: ScheduleSpec, grid: int) -> tuple[float, float] | None:
+        """epsilon and the largest element over the arg-max bracket's 19 samples.
+
+        None where E1 meets E0 or E2 at a sample: there the element depends on
+        the solver's basis within that level, so no maximum of it is defined.
+        """
+        trace = gap_trace(sched, grid, 2)
+        i = int(np.argmax(trace.element))
+        lo, hi = trace.grid[max(i - 1, 0)], trace.grid[min(i + 1, grid - 1)]
+        samples = np.linspace(lo, hi, 21)[1:-1]
+        levels = spectral._scan(sched, samples, min(3, 1 << sched.n)).levels
+        if spectral._degenerate(np.diff(levels, axis=1).min(axis=1), levels).any():
+            return None
+        exhaustive = max(trace.element[i], spectral._scan(sched, samples, 2).element.max())
+        return epsilon(trace), exhaustive
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        grid=st.integers(11, 201),
+    )
+    def test_search_finds_the_largest_of_the_19_samples(self, n, seed, driver, grid):
+        # Random couplings, not ising_problems(): its equal coefficients make
+        # many problems symmetric, with a degenerate E1 along the whole path.
+        # From grid 11 on, brackets of at most 0.2 keep the element unimodal;
+        # across a bracket of 0.5 or more (grid 5 or less) it need not be.
+        problem = random_ising(np.random.default_rng(seed), n)
+        found = self.search_and_exhaustive(ScheduleSpec(problem=problem, driver=driver), grid)
+        assume(found is not None)
+        assert found[0] == found[1]
+
+    @pytest.mark.parametrize("driver, pivot", [(STOQUASTIC, None), (NONSTOQUASTIC, None),
+                                               (STOQUASTIC, 0)])
+    def test_chain_search_finds_the_largest_of_the_19_samples(self, driver, pivot):
+        sched = chain_schedule(0.04, pivot, driver)
+        searched, exhaustive = self.search_and_exhaustive(sched, 2001)
+        assert searched == exhaustive
+
+    def test_search_visits_a_unimodal_maximum(self):
+        for count in range(1, 40):
+            for peak in range(count):
+                values = -np.abs(np.arange(count) - peak)
+                seen = []
+                spectral._fibonacci(lambda j: seen.append(j) or values[j], count)
+                assert peak in seen and len(seen) == len(set(seen))
+                if count == 19:  # epsilon's samples
+                    assert len(seen) <= 6
+
 
 class TestTApprox:
     def test_reference_values(self):
@@ -463,6 +514,9 @@ class TestSingleScan:
     #: Brent evaluations of the gap slope that narrow the 0.04 chain's
     #: bracket of two grid steps around its crossing to S_TOL.
     REFINE = 6
+    #: Samples the Fibonacci search of ``epsilon`` visits among the 19 of the
+    #: 0.04 chain's arg-max bracket.
+    SEARCH = 5
 
     def test_consumers_read_the_trace(self, solve_counts):
         trace = gap_trace(chain_schedule(0.04), self.GRID)
@@ -472,8 +526,8 @@ class TestSingleScan:
         assert solve_counts == solves(dsyevr=self.REFINE)
         overlap_trace(trace)
         assert solve_counts == solves(dsyevr=self.REFINE)
-        epsilon(trace)  # only the rescan around the arg-max
-        assert solve_counts == solves(dsyevr=self.REFINE + 19)
+        epsilon(trace)  # only the search around the arg-max
+        assert solve_counts == solves(dsyevr=self.REFINE + self.SEARCH)
 
     @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
     def test_analyze_solve_counts(self, tmp_path, solve_counts):
@@ -482,12 +536,12 @@ class TestSingleScan:
         rc = cli.main(["analyze", "--problem", str(path), "--grid", str(self.GRID),
                        "--s-tol", str(self.S_TOL), "--out", str(tmp_path / "run_")])
         assert rc == 0
-        assert solve_counts == solves(eigh=self.GRID, dsyevr=19 + self.REFINE)
+        assert solve_counts == solves(eigh=self.GRID, dsyevr=self.SEARCH + self.REFINE)
 
     def test_sweep_cell_solve_counts(self, solve_counts):
         # Two levels throughout; E1 is degenerate at s = 0 only.
         _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
-        assert solve_counts == solves(dsyevr=self.GRID + 19 + self.REFINE, degenerate=1)
+        assert solve_counts == solves(dsyevr=self.GRID + self.SEARCH + self.REFINE, degenerate=1)
 
 
 def sweep_schedule(delta_b: float, method: str) -> ScheduleSpec:
