@@ -1,9 +1,10 @@
 """Command-line front end: conversions, transforms, spectrum reports, sweeps.
 
 Exit codes: 0 success, 2 input error (files, formats, arguments), 3 numerical
-failure (eigensolver, degeneracies, fits). All emitted CSV and JSON numbers
-are formatted to 12 significant digits so identical inputs produce
-byte-identical outputs.
+failure (eigensolver, degeneracies). A hyperbola fit whose window holds too
+few grid points is left out of the report, with a note on stderr. All
+emitted CSV and JSON numbers are formatted to 12 significant digits so
+identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -167,7 +168,12 @@ def cmd_analyze(args) -> int:
     trace = gap_trace(sched, args.grid, args.levels)
     located = min_gap(trace, s_tol=args.s_tol)
     eps = epsilon(trace)
-    fit = fit_hyperbola(trace, located.s_star, located.delta_min) if located.interior else None
+    fit = None
+    if located.interior:
+        try:
+            fit = fit_hyperbola(trace, located.s_star, located.delta_min)
+        except FitWindowError as exc:  # a coarse grid: the report goes out without the fit
+            print(f"note: no hyperbola fit: {exc}", file=sys.stderr)
     t_est = t_approx(located.delta_min)
     overlaps = overlap_trace(trace, k_max=k_max)
 
@@ -333,7 +339,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EigensolverError, DegenerateLevelsError, FitWindowError) as exc:
+    except (EigensolverError, DegenerateLevelsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ProblemFormatError, OSError, ValueError) as exc:

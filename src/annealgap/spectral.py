@@ -88,9 +88,11 @@ def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
     matrix at a time above ``SERIAL_BLAS_MAX_DIM`` and wherever
     ``7 * (keep + 1) <= dim``, where it beats a full ``eigh`` (see
     ``_lowest``); otherwise, or without the bundled library, numpy's ``eigh``
-    solves the whole spectrum of a matrix or of a (B, dim, dim) stack. Either
-    way the first failing matrix raises EigensolverError naming its own entry
-    of ``s``.
+    solves the whole spectrum of a matrix or of a (B, dim, dim) stack. Up to
+    ``SERIAL_BLAS_MAX_DIM`` dsyevr computes ``keep`` levels, and one more only
+    at s = 0 and s = 1, the points where ``_lowest`` checks E1 against E2.
+    Either way the first failing matrix raises EigensolverError naming its
+    own entry of ``s``.
     """
     dim = matrix.shape[-1]
     with _blas.threads(dim):
@@ -114,19 +116,24 @@ def _eigh(matrix: np.ndarray, s, keep: int):
 def _lowest(matrix: np.ndarray, s, keep: int):
     """dsyevr's ``keep`` lowest levels and vectors of a matrix or a stack, one call per matrix.
 
-    Up to ``SERIAL_BLAS_MAX_DIM`` one more level is asked for. Where it shows
-    E0 or E1 degenerate, the vectors depend on the solver, so that matrix is
-    solved again by numpy's ``eigh`` and keeps the vectors a full scan would
-    give; each matrix is therefore copied into a scratch buffer, which dsyevr
-    overwrites. Above that dimension dsyevr's vectors stand and ``matrix``
-    itself is overwritten.
+    Up to ``SERIAL_BLAS_MAX_DIM`` a degenerate E0 or E1 makes the vectors
+    depend on the solver, so that matrix is solved again by numpy's ``eigh``
+    and keeps the vectors a full scan would give; each matrix is therefore
+    copied into a scratch buffer, which dsyevr overwrites. E0 is checked
+    against E1 at every matrix. E1 is checked against E2 only at s = 0 and
+    s = 1, where one more level is asked for: there H is the driver, whose E1
+    is n-fold degenerate, or the diagonal problem, whose energies may tie.
+    Anywhere in between, E1 = E2 takes a symmetry (von Neumann and Wigner,
+    1929), and dsyevr's pick within it stands. Above that dimension dsyevr's
+    vectors stand everywhere and ``matrix`` itself is overwritten.
     """
     dim = matrix.shape[-1]
     stack = matrix.reshape(-1, dim, dim)
     count = len(stack)
     points = np.ravel(s)
     fallback = dim <= SERIAL_BLAS_MAX_DIM
-    asked = keep + 1 if fallback else keep
+    ends = (points == 0.0) | (points == 1.0) if fallback else np.zeros(count, bool)
+    asked = np.where(ends, keep + 1, keep)
     if fallback:
         scratch = np.empty((dim, dim))
         a_ptr, a_step = scratch.ctypes.data, 0
@@ -137,26 +144,31 @@ def _lowest(matrix: np.ndarray, s, keep: int):
     lapack_int = syevr.restype
     found = lapack_int()
     found_ref = ctypes.byref(found)
+    most = int(asked.max())
     w = np.empty((count, dim))  # dsyevr may use all dim entries of each row
-    v = np.empty((count, asked, dim))
-    support = np.empty(2 * asked, dtype=np.dtype(lapack_int))
+    v = np.empty((count, most, dim))
+    support = np.empty(2 * most, dtype=np.dtype(lapack_int))
     w_ptr, v_ptr, support_ptr = w.ctypes.data, v.ctypes.data, support.ctypes.data
-    for i in range(count):
+    for i, top in enumerate(asked.tolist()):
         if fallback:
             np.copyto(scratch, stack[i])
         found.value = 0
         # Column-major (102) reads the C-ordered symmetric matrix unchanged and
         # writes each eigenvector contiguously, as one row of ``v[i]``.
         info = syevr(
-            102, b"V", b"I", b"L", dim, a_ptr + i * a_step, dim, 0.0, 0.0, 1, asked, 0.0,
+            102, b"V", b"I", b"L", dim, a_ptr + i * a_step, dim, 0.0, 0.0, 1, top, 0.0,
             found_ref, w_ptr + i * w.strides[0], v_ptr + i * v.strides[0], dim, support_ptr,
         )
-        if info or found.value != asked:
-            detail = f"dsyevr returned info={info} with {found.value} of {asked} levels"
+        if info or found.value != top:
+            detail = f"dsyevr returned info={info} with {found.value} of {top} levels"
             raise _failure(points[i], detail)
     if fallback:
-        levels = w[:, :asked]
-        spacing = np.diff(levels[:, :3], axis=1).min(axis=1)
+        spacing = w[:, 1] - w[:, 0]
+        spacing[ends] = np.minimum(spacing[ends], w[ends, 2] - w[ends, 1])
+        levels = w[:, :most]
+        # Beyond its asked levels a row of ``w`` holds whatever dsyevr left
+        # there: E0 in its place leaves the row's scale as it is.
+        levels[~ends, keep:] = levels[~ends, :1]
         for i in np.flatnonzero(_degenerate(spacing, levels)):
             w[i, :keep], vectors = _eigh(stack[i], points[i], keep)
             v[i, :keep] = vectors.T

@@ -144,6 +144,19 @@ class TestAnalyze:
         assert report["k"] == 0
         assert report["t_approx"] == pytest.approx(report["delta_min"] ** -2, rel=1e-10)
 
+    def test_coarse_grid_reports_without_the_fit(self, tmp_path, chain_file, capsys):
+        # At grid 11 the +-0.05 fit window around the crossing holds 1 point.
+        prefix = str(tmp_path / "coarse_")
+        rc = main(["analyze", "--problem", str(chain_file), "--grid", "11", "--out", prefix])
+        assert rc == 0
+        report = json.loads((tmp_path / "coarse_report.json").read_text())
+        assert report["interior"] is True
+        assert report["hyperbola"] is None
+        assert report["delta_min"] == pytest.approx(1.822812e-3, rel=1e-4)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "window +-0.05" in err[0] and "holds 1 trace points" in err[0]
+
     @pytest.mark.parametrize("levels, columns", [(2, 2), (100, 32)])
     def test_report_levels_match_gaps_columns(self, tmp_path, chain_file, levels, columns):
         prefix = str(tmp_path / "lv_")

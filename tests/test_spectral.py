@@ -648,8 +648,11 @@ class TestGapSlopeRefiner:
         save_problem(mis_chain(MisChainSpec(0.04)), path)
         rc = cli.main(["analyze", "--problem", str(path), "--driver", "nonstoq", "--grid", "5",
                        "--s-tol", "1e-17", "--out", str(tmp_path / "run_")])
-        assert rc == 3
+        # The search ends; the 5-point grid is too coarse for the fit, which
+        # is left out of the report.
+        assert rc == 0
         assert "trace points" in capsys.readouterr().err
+        assert json.loads((tmp_path / "run_report.json").read_text())["hyperbola"] is None
 
     def test_golden_fallback_at_the_schedule_end(self):
         # On three points this non-stoquastic gap is smallest at s = 1 and its
@@ -1025,6 +1028,21 @@ def dense_n9() -> ScheduleSpec:
     return ScheduleSpec(problem=random_ising(np.random.default_rng(9), 9))
 
 
+def tied_schedule() -> ScheduleSpec:
+    """5 spins whose second- and third-lowest energies tie at -12, with no spin symmetry.
+
+    E1 = E2 holds at s = 0 (the driver) and at s = 1 only: inside, up to
+    s = 0.95, the three lowest levels stay more than 0.014 apart.
+    """
+    couplings = {(0, 1): 1.0, (0, 3): 2.0, (0, 4): 3.0, (1, 4): 1.0, (2, 4): -3.0}
+    return ScheduleSpec(problem=IsingProblem(n=5, J=couplings, h=(3.0, -2.0, 3.0, -3.0, 1.0)))
+
+
+def free_spins_schedule() -> ScheduleSpec:
+    """5 uncoupled spins in equal fields: E1 is 5-fold degenerate at every s."""
+    return ScheduleSpec(problem=IsingProblem(n=5, h=(0.5,) * 5))
+
+
 @pytest.fixture(scope="module")
 def n9_trace():
     return gap_trace(dense_n9(), 5)
@@ -1111,22 +1129,52 @@ class TestKeptLevels:
                 element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
                 assert abs(trace.element[i] - element) <= 1e-10
 
-    @pytest.mark.parametrize("sched", [chain_schedule(0.04), random_schedule(6)],
-                             ids=["dim32", "dim64"])
-    def test_degenerate_e1_keeps_eigh_vectors(self, syevr, solve_counts, monkeypatch, sched):
+    @pytest.mark.parametrize("sched, ends", [(chain_schedule(0.04), [0]),
+                                             (random_schedule(6), [0]),
+                                             (tied_schedule(), [0, -1])],
+                             ids=["dim32", "dim64", "tied-at-s1"])
+    def test_degenerate_e1_keeps_eigh_vectors(self, syevr, solve_counts, monkeypatch, sched, ends):
         trace = gap_trace(sched, self.GRID, levels=2)
-        # dsyevr solves every point, and eigh solves s = 0 again.
-        assert solve_counts == solves(dsyevr=self.GRID, degenerate=1)
+        # dsyevr solves every point, and eigh solves again where E1 is
+        # degenerate: at s = 0, and at s = 1 where the problem's energies tie.
+        assert solve_counts == solves(dsyevr=self.GRID, degenerate=len(ends))
         monkeypatch.setattr(_blas, "SYEVR", None)
         reference = gap_trace(sched, self.GRID, levels=2)
-        for name in ("element", "slope", "ground_weights"):
-            assert np.array_equal(getattr(trace, name)[0], getattr(reference, name)[0])
+        for i in ends:
+            for name in ("element", "slope", "ground_weights"):
+                assert np.array_equal(getattr(trace, name)[i], getattr(reference, name)[i])
+
+    def test_third_level_asked_for_only_at_the_ends(self, syevr, monkeypatch):
+        upper = []
+
+        def dsyevr(*args):
+            upper.append(args[10])  # IU, the highest level index asked for
+            return syevr(*args)
+
+        dsyevr.restype = syevr.restype
+        monkeypatch.setattr(_blas, "SYEVR", dsyevr)
+        gap_trace(chain_schedule(0.04), self.GRID, levels=2)
+        assert upper == [3] + [2] * (self.GRID - 2) + [3]
+
+    def test_interior_symmetric_degeneracy_keeps_dsyevr_vectors(self, syevr, solve_counts,
+                                                                  monkeypatch):
+        sched = free_spins_schedule()
+        trace = gap_trace(sched, self.GRID, levels=2)
+        # E1 = E2 at every point, but eigh solves again only s = 0 and s = 1.
+        assert solve_counts == solves(dsyevr=self.GRID, degenerate=2)
+        monkeypatch.setattr(_blas, "SYEVR", None)
+        reference = gap_trace(sched, self.GRID, levels=2)
+        assert np.abs(trace.levels - reference.levels).max() <= 1e-11
+        assert np.abs(trace.ground_weights - reference.ground_weights).max() <= 1e-10
+        # The element is not compared: inside (0, 1) it depends on which vector
+        # of the degenerate E1 each solver picks.
 
     def test_nan_matrix_in_a_stack_names_its_s(self, syevr):
         grid = np.linspace(0.0, 1.0, 11)
         stack = schedule_matrix(chain_schedule(0.04), grid)
         stack[3] = np.nan
-        failure = re.escape(f"at s={grid[3]}: dsyevr returned info=-6 with 0 of 3 levels")
+        # s = 0.3 is inside the schedule, where only the 2 kept levels are asked for.
+        failure = re.escape(f"at s={grid[3]}: dsyevr returned info=-6 with 0 of 2 levels")
         with pytest.raises(EigensolverError, match=failure):
             spectral._solve(stack, grid, keep=2)
 
