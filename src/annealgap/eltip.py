@@ -19,7 +19,7 @@ flipped; otherwise the assignment is unchanged.
 
 from __future__ import annotations
 
-from .problems import IsingProblem, ProblemFormatError, SpinAssignment, SIGMA_FORM, _integer
+from .problems import IsingProblem, ProblemFormatError, SpinAssignment, SIGMA_FORM, _integer, _ising
 
 
 def _spin(index: int, n: int, what: str) -> int:
@@ -40,6 +40,7 @@ def _two_spins(i: int, j: int, n: int) -> tuple[int, int]:
 
 def transform(p: IsingProblem, k: int) -> IsingProblem:
     """Exchange couplings-to-k with fields on spins other than k."""
+    _ising(p, "transform")
     k = _spin(k, p.n, "pivot spin k")
     couplings: dict[tuple[int, int], float] = {}
     fields = [0.0] * p.n
@@ -72,6 +73,7 @@ def back_map(a: SpinAssignment, k: int) -> SpinAssignment:
 
 def swap_labels(p: IsingProblem, i: int, j: int) -> IsingProblem:
     """Relabel spins i and j in all coefficients."""
+    _ising(p, "swap_labels")
     i, j = _two_spins(i, j, p.n)
     perm = list(range(p.n))
     perm[i], perm[j] = j, i
@@ -88,5 +90,6 @@ def compose_swap(p: IsingProblem, i: int, j: int) -> IsingProblem:
     The composition law means chains of transforms never produce anything new
     beyond a single pivot plus relabeling.
     """
+    _ising(p, "compose_swap")
     i, j = _two_spins(i, j, p.n)
     return transform(transform(transform(p, j), i), j)

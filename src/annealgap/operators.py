@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .problems import IsingProblem, ProblemFormatError, _energy
+from .problems import IsingProblem, ProblemFormatError, _energy, _ising
 
 DEFAULT_SPIN_CAP = 14
 
@@ -71,6 +71,7 @@ def problem_diagonal(p: IsingProblem) -> np.ndarray:
     bit for bit. Raises ProblemFormatError when finite coefficients sum
     beyond the float range.
     """
+    _ising(p, "problem_diagonal")
     _check_cap(p.n)
     return _energy(p.n, p.J, p.h, p.offset, _sigma_table(p.n).T)
 
@@ -109,11 +110,7 @@ class ScheduleSpec:
     driver: str = STOQUASTIC
 
     def __post_init__(self):
-        if not isinstance(self.problem, IsingProblem):
-            raise TypeError(
-                f"ScheduleSpec needs an IsingProblem, got {type(self.problem).__name__}; "
-                "convert a QUBO with qubo_to_ising first"
-            )
+        _ising(self.problem, "ScheduleSpec")
         if self.driver not in (STOQUASTIC, NONSTOQUASTIC):
             raise ValueError(f"unknown driver {self.driver!r}")
         _check_cap(self.problem.n)

@@ -90,6 +90,15 @@ def _integer(value: int, what: str) -> int:
     return int(value)
 
 
+def _ising(p: "IsingProblem", what: str) -> None:
+    """Reject anything but an IsingProblem, naming the function that needs it."""
+    if not isinstance(p, IsingProblem):
+        raise TypeError(
+            f"{what} needs an IsingProblem, got {type(p).__name__}; "
+            "convert a QUBO with qubo_to_ising first"
+        )
+
+
 def _count(n: int, what: str) -> int:
     """A positive integer size, naming the field when it is rejected."""
     n = _integer(n, what)

@@ -89,9 +89,9 @@ def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
     ``7 * (keep + 1) <= dim``, where it beats a full ``eigh`` (see
     ``_lowest``); otherwise, or without the bundled library, numpy's ``eigh``
     solves the whole spectrum of a matrix or of a (B, dim, dim) stack. Up to
-    ``SERIAL_BLAS_MAX_DIM`` dsyevr computes ``keep`` levels, and one more only
-    at s = 0 and s = 1, the points where ``_lowest`` checks E1 against E2.
-    Either way the first failing matrix raises EigensolverError naming its
+    ``SERIAL_BLAS_MAX_DIM`` ``_lowest`` hands a matrix at s = 0 or s = 1 to
+    ``eigh`` instead. Every matrix is solved once, dsyevr overwrites the ones
+    it solves, and the first failing one raises EigensolverError naming its
     own entry of ``s``.
     """
     dim = matrix.shape[-1]
@@ -116,68 +116,45 @@ def _eigh(matrix: np.ndarray, s, keep: int):
 def _lowest(matrix: np.ndarray, s, keep: int):
     """dsyevr's ``keep`` lowest levels and vectors of a matrix or a stack, one call per matrix.
 
-    Up to ``SERIAL_BLAS_MAX_DIM`` a degenerate E0 or E1 makes the vectors
-    depend on the solver, so that matrix is solved again by numpy's ``eigh``
-    and keeps the vectors a full scan would give; each matrix is therefore
-    copied into a scratch buffer, which dsyevr overwrites. E0 is checked
-    against E1 at every matrix. E1 is checked against E2 only at s = 0 and
-    s = 1, where one more level is asked for: there H is the driver, whose E1
-    is n-fold degenerate, or the diagonal problem, whose energies may tie.
-    Anywhere in between, E1 = E2 takes a symmetry (von Neumann and Wigner,
-    1929), and dsyevr's pick within it stands. Above that dimension dsyevr's
-    vectors stand everywhere and ``matrix`` itself is overwritten.
+    Up to ``SERIAL_BLAS_MAX_DIM`` a matrix at s = 0 or s = 1 is solved by
+    numpy's ``eigh`` instead, so it keeps the vectors a full scan would give:
+    there H is the driver, whose E1 is n-fold degenerate, or the diagonal
+    problem, whose energies may tie. Anywhere in between a degeneracy takes a
+    symmetry (von Neumann and Wigner, 1929), and dsyevr's pick within it
+    stands. dsyevr overwrites the matrix it solves.
     """
     dim = matrix.shape[-1]
-    stack = matrix.reshape(-1, dim, dim)
+    # Copies only a read-only input.
+    stack = np.require(matrix.reshape(-1, dim, dim), np.float64, ["C", "W"])
     count = len(stack)
-    points = np.ravel(s)
-    fallback = dim <= SERIAL_BLAS_MAX_DIM
-    ends = (points == 0.0) | (points == 1.0) if fallback else np.zeros(count, bool)
-    asked = np.where(ends, keep + 1, keep)
-    if fallback:
-        scratch = np.empty((dim, dim))
-        a_ptr, a_step = scratch.ctypes.data, 0
-    else:
-        stack = np.require(stack, np.float64, ["C", "W"])  # copies only a read-only input
-        a_ptr, a_step = stack.ctypes.data, stack.strides[0]
+    points = np.ravel(s).tolist()
     syevr = _blas.SYEVR
     lapack_int = syevr.restype
     found = lapack_int()
     found_ref = ctypes.byref(found)
-    most = int(asked.max())
     w = np.empty((count, dim))  # dsyevr may use all dim entries of each row
-    v = np.empty((count, most, dim))
-    support = np.empty(2 * most, dtype=np.dtype(lapack_int))
-    w_ptr, v_ptr, support_ptr = w.ctypes.data, v.ctypes.data, support.ctypes.data
-    for i, top in enumerate(asked.tolist()):
-        if fallback:
-            np.copyto(scratch, stack[i])
+    v = np.empty((count, keep, dim))
+    support = np.empty(2 * keep, dtype=np.dtype(lapack_int))
+    a_ptr, w_ptr, v_ptr, support_ptr = (x.ctypes.data for x in (stack, w, v, support))
+    for i, point in enumerate(points):
+        if dim <= SERIAL_BLAS_MAX_DIM and point in (0.0, 1.0):
+            w[i, :keep], vectors = _eigh(stack[i], point, keep)
+            v[i] = vectors.T
+            continue
         found.value = 0
         # Column-major (102) reads the C-ordered symmetric matrix unchanged and
         # writes each eigenvector contiguously, as one row of ``v[i]``.
         info = syevr(
-            102, b"V", b"I", b"L", dim, a_ptr + i * a_step, dim, 0.0, 0.0, 1, top, 0.0,
-            found_ref, w_ptr + i * w.strides[0], v_ptr + i * v.strides[0], dim, support_ptr,
+            102, b"V", b"I", b"L", dim, a_ptr + i * stack.strides[0], dim, 0.0, 0.0, 1, keep,
+            0.0, found_ref, w_ptr + i * w.strides[0], v_ptr + i * v.strides[0], dim, support_ptr,
         )
-        if info or found.value != top:
-            detail = f"dsyevr returned info={info} with {found.value} of {top} levels"
-            raise _failure(points[i], detail)
-    if fallback:
-        spacing = w[:, 1] - w[:, 0]
-        spacing[ends] = np.minimum(spacing[ends], w[ends, 2] - w[ends, 1])
-        levels = w[:, :most]
-        # Beyond its asked levels a row of ``w`` holds whatever dsyevr left
-        # there: E0 in its place leaves the row's scale as it is.
-        levels[~ends, keep:] = levels[~ends, :1]
-        for i in np.flatnonzero(_degenerate(spacing, levels)):
-            w[i, :keep], vectors = _eigh(stack[i], points[i], keep)
-            v[i, :keep] = vectors.T
-    vectors = v[:, :keep].swapaxes(1, 2)
-    if fallback:
-        # Columns of a C-ordered array, as eigh gives them: numpy's matmul then
-        # sums the dH/ds products in the same order, so a re-solved point's
-        # element and slope equal eigh's bit for bit.
-        vectors = np.ascontiguousarray(vectors)
+        if info or found.value != keep:
+            detail = f"dsyevr returned info={info} with {found.value} of {keep} levels"
+            raise _failure(point, detail)
+    # Columns of a C-ordered array, as eigh gives them: numpy's matmul then
+    # sums the dH/ds products in the same order, so an end point's element
+    # and slope equal eigh's bit for bit.
+    vectors = np.ascontiguousarray(v.swapaxes(1, 2))
     shape = matrix.shape[:-2]
     return w[:, :keep].reshape(shape + (keep,)), vectors.reshape(shape + (dim, keep))
 
@@ -513,11 +490,14 @@ def fit_hyperbola(
     branches determines (E(s*), B) by linear least squares; the squared
     branch difference determines A^2 by least squares through the origin.
     A residual above 10% of ``delta_min`` triggers a warning rather than an
-    exception. ``s_star`` must be finite and ``delta_min`` finite and >= 0.
+    exception. ``s_star`` must be finite, ``delta_min`` finite and >= 0, and
+    ``window`` finite and > 0.
     """
     _finite(s_star, "s_star")
     if not _finite(delta_min, "delta_min") >= 0:
         raise ValueError(f"delta_min must be >= 0, got {delta_min}")
+    if not _finite(window, "window") > 0:
+        raise ValueError(f"window must be positive, got {window}")
     grid = trace.grid
     sel = np.abs(grid - s_star) <= window
     points = int(np.count_nonzero(sel))

@@ -219,6 +219,20 @@ class TestSwapComposition:
         assert swap_labels(p, np.int64(0), 2).h == (3, 2, 1)
 
 
+@pytest.mark.parametrize("problem", [mis_chain(MisChainSpec(0.04)), "chain"],
+                         ids=["qubo", "str"])
+@pytest.mark.parametrize("call", [lambda p: transform(p, 0), lambda p: swap_labels(p, 0, 1),
+                                  lambda p: compose_swap(p, 0, 1), problem_diagonal,
+                                  lambda p: ScheduleSpec(problem=p)],
+                         ids=["transform", "swap_labels", "compose_swap", "problem_diagonal",
+                              "ScheduleSpec"])
+def test_only_ising_problems_accepted(call, problem):
+    kind = type(problem).__name__
+    with pytest.raises(TypeError, match=f"needs an IsingProblem, got {kind}; convert a QUBO "
+                                        "with qubo_to_ising first"):
+        call(problem)
+
+
 class TestChainPipeline:
     def test_transformed_chain_spectrum(self):
         """Transform preserves the full 32-level spectrum of every chain instance."""

@@ -1,5 +1,6 @@
 """Spectral engine: eigensolver contract, traces, min-gap, detection, fits."""
 
+import ctypes
 import json
 import math
 import os
@@ -393,6 +394,13 @@ class TestTApprox:
             t_approx(delta)
 
 
+def fit_case(s_star, delta_min, message, window=0.05):
+    """A ``fit_hyperbola`` argument case; its id names ``window`` only where it is not 0.05."""
+    shown = (s_star, delta_min) if window == 0.05 else (f"window={window!r}",)
+    case_id = "-".join(map(str, shown + (message,)))
+    return pytest.param(s_star, delta_min, window, message, id=case_id)
+
+
 class TestFitHyperbola:
     def test_two_level_exact(self):
         sched = two_level()
@@ -423,15 +431,23 @@ class TestFitHyperbola:
             fit_hyperbola(trace, 0.5, SQRT2, window=0.015)
 
     @pytest.mark.parametrize(
-        "s_star, delta_min, message",
-        [(math.nan, SQRT2, "s_star must be finite"), (math.inf, SQRT2, "s_star must be finite"),
-         (0.5, math.nan, "delta_min must be finite"), (0.5, math.inf, "delta_min must be finite"),
-         (0.5, -1e-3, "delta_min must be >= 0")],
+        "s_star, delta_min, window, message",
+        [fit_case(math.nan, SQRT2, "s_star must be finite"),
+         fit_case(math.inf, SQRT2, "s_star must be finite"),
+         fit_case(0.5, math.nan, "delta_min must be finite"),
+         fit_case(0.5, math.inf, "delta_min must be finite"),
+         fit_case(0.5, -1e-3, "delta_min must be >= 0"),
+         fit_case(0.5, SQRT2, "window must be a number", window="x"),
+         fit_case(0.5, SQRT2, "window must be a number", window=True),
+         fit_case(0.5, SQRT2, "window must be positive", window=-1.0),
+         fit_case(0.5, SQRT2, "window must be positive", window=0.0),
+         fit_case(0.5, SQRT2, "window must be finite", window=math.inf),
+         fit_case(0.5, SQRT2, "window must be finite", window=math.nan)],
     )
-    def test_arguments_checked(self, s_star, delta_min, message):
+    def test_arguments_checked(self, s_star, delta_min, window, message):
         trace = gap_trace(two_level(), 101)
         with pytest.raises(ValueError, match=message):
-            fit_hyperbola(trace, s_star, delta_min)
+            fit_hyperbola(trace, s_star, delta_min, window)
 
     def test_high_residual_warns(self):
         sched = chain_schedule(0.04)
@@ -487,16 +503,14 @@ def solve_counts(monkeypatch):
     return counts
 
 
-def solves(eigh: int = 0, dsyevr: int = 0, degenerate: int = 0) -> dict:
+def solves(eigh: int = 0, dsyevr: int = 0) -> dict:
     """``solve_counts`` after ``eigh`` and ``dsyevr`` matrices were asked for.
 
-    ``degenerate`` of the dsyevr matrices have a degenerate E0 or E1, so
-    numpy's ``eigh`` solves them again. Without a bundled dsyevr numpy's
-    ``eigh`` solves every matrix, each once.
+    Without a bundled dsyevr numpy's ``eigh`` solves every matrix, each once.
     """
     if _blas.SYEVR is None:
         return {"eigh": eigh + dsyevr, "eigvalsh": 0, "dsyevr": 0}
-    return {"eigh": eigh + degenerate, "eigvalsh": 0, "dsyevr": dsyevr}
+    return {"eigh": eigh, "eigvalsh": 0, "dsyevr": dsyevr}
 
 
 def golden_evaluations(width: float, s_tol: float) -> int:
@@ -539,9 +553,9 @@ class TestSingleScan:
         assert solve_counts == solves(eigh=self.GRID, dsyevr=self.SEARCH + self.REFINE)
 
     def test_sweep_cell_solve_counts(self, solve_counts):
-        # Two levels throughout; E1 is degenerate at s = 0 only.
+        # Two levels throughout; eigh solves s = 0 and s = 1, dsyevr the rest.
         _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
-        assert solve_counts == solves(dsyevr=self.GRID + self.SEARCH + self.REFINE, degenerate=1)
+        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2 + self.SEARCH + self.REFINE)
 
 
 def sweep_schedule(delta_b: float, method: str) -> ScheduleSpec:
@@ -1120,7 +1134,7 @@ class TestKeptLevels:
     def test_random_problems_match_eigh(self, syevr, solve_counts, n, levels):
         sched = ScheduleSpec(problem=random_ising(np.random.default_rng(n), n))
         trace = gap_trace(sched, self.GRID, levels)
-        assert solve_counts["dsyevr"] == self.GRID
+        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2)
         for i, s in enumerate(trace.grid):
             w, v = np.linalg.eigh(schedule_matrix(sched, s))
             assert np.abs(trace.levels[i] - w[:levels]).max() <= 1e-11
@@ -1129,39 +1143,55 @@ class TestKeptLevels:
                 element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
                 assert abs(trace.element[i] - element) <= 1e-10
 
-    @pytest.mark.parametrize("sched, ends", [(chain_schedule(0.04), [0]),
-                                             (random_schedule(6), [0]),
-                                             (tied_schedule(), [0, -1])],
+    @pytest.mark.parametrize("sched", [chain_schedule(0.04), random_schedule(6), tied_schedule()],
                              ids=["dim32", "dim64", "tied-at-s1"])
-    def test_degenerate_e1_keeps_eigh_vectors(self, syevr, solve_counts, monkeypatch, sched, ends):
+    def test_degenerate_e1_keeps_eigh_vectors(self, syevr, solve_counts, monkeypatch, sched):
         trace = gap_trace(sched, self.GRID, levels=2)
-        # dsyevr solves every point, and eigh solves again where E1 is
-        # degenerate: at s = 0, and at s = 1 where the problem's energies tie.
-        assert solve_counts == solves(dsyevr=self.GRID, degenerate=len(ends))
+        # eigh solves s = 0 and s = 1, where E1 may be degenerate; dsyevr the rest.
+        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2)
         monkeypatch.setattr(_blas, "SYEVR", None)
         reference = gap_trace(sched, self.GRID, levels=2)
-        for i in ends:
+        for i in (0, -1):
             for name in ("element", "slope", "ground_weights"):
                 assert np.array_equal(getattr(trace, name)[i], getattr(reference, name)[i])
 
-    def test_third_level_asked_for_only_at_the_ends(self, syevr, monkeypatch):
-        upper = []
+    @pytest.mark.parametrize("sched", [chain_schedule(0.04), random_schedule(6),
+                                       random_schedule(8), dense_n9()],
+                             ids=["dim32", "dim64", "dim256", "dim512"])
+    def test_each_matrix_solved_once(self, syevr, monkeypatch, sched):
+        dim = 1 << sched.n
+        asked, by_dsyevr, by_eigh = [], [], []
 
         def dsyevr(*args):
-            upper.append(args[10])  # IU, the highest level index asked for
+            asked.append(args[10])  # IU, the highest level index asked for
+            address = ctypes.cast(args[5], ctypes.POINTER(ctypes.c_double))
+            by_dsyevr.append(np.ctypeslib.as_array(address, (dim, dim)).copy())
             return syevr(*args)
+
+        def eigh(a, _original=np.linalg.eigh):
+            by_eigh.extend(np.reshape(a, (-1, dim, dim)).copy())
+            return _original(a)
 
         dsyevr.restype = syevr.restype
         monkeypatch.setattr(_blas, "SYEVR", dsyevr)
-        gap_trace(chain_schedule(0.04), self.GRID, levels=2)
-        assert upper == [3] + [2] * (self.GRID - 2) + [3]
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        gap_trace(sched, self.GRID, levels=2)
+        assert asked == [2] * len(by_dsyevr)
+        if dim > _blas.SERIAL_BLAS_MAX_DIM:
+            assert len(by_dsyevr) == self.GRID and not by_eigh
+        else:
+            # s = 0 and s = 1 go to eigh once each, every other point to dsyevr.
+            ends = [schedule_matrix(sched, 0.0), schedule_matrix(sched, 1.0)]
+            assert len(by_dsyevr) == self.GRID - 2
+            assert not any(np.array_equal(a, end) for a in by_dsyevr for end in ends)
+            assert len(by_eigh) == 2 and all(map(np.array_equal, by_eigh, ends))
 
     def test_interior_symmetric_degeneracy_keeps_dsyevr_vectors(self, syevr, solve_counts,
                                                                   monkeypatch):
         sched = free_spins_schedule()
         trace = gap_trace(sched, self.GRID, levels=2)
-        # E1 = E2 at every point, but eigh solves again only s = 0 and s = 1.
-        assert solve_counts == solves(dsyevr=self.GRID, degenerate=2)
+        # E1 = E2 at every point, but eigh solves only s = 0 and s = 1.
+        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2)
         monkeypatch.setattr(_blas, "SYEVR", None)
         reference = gap_trace(sched, self.GRID, levels=2)
         assert np.abs(trace.levels - reference.levels).max() <= 1e-11
@@ -1173,7 +1203,7 @@ class TestKeptLevels:
         grid = np.linspace(0.0, 1.0, 11)
         stack = schedule_matrix(chain_schedule(0.04), grid)
         stack[3] = np.nan
-        # s = 0.3 is inside the schedule, where only the 2 kept levels are asked for.
+        # s = 0.3 is inside the schedule, where dsyevr solves it.
         failure = re.escape(f"at s={grid[3]}: dsyevr returned info=-6 with 0 of 2 levels")
         with pytest.raises(EigensolverError, match=failure):
             spectral._solve(stack, grid, keep=2)
