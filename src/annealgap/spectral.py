@@ -18,11 +18,12 @@ separation); the margin keeps those out of reports while leaving genuine
 anti-crossings, which undercut the final gap by factors of 10 to 10^4,
 untouched.
 
-Every eigensolve goes through ``_solve``, which picks numpy's ``eigh`` or
-LAPACK's ``dsyevr`` and runs on the OpenBLAS threads ``_blas`` grants it. A
-scan solves blocks of grid points as stacks, which a pool of one thread per
-usable core takes one at a time; its results equal those of one solve per
-point bit for bit.
+Every eigensolve goes through ``_solve``, one matrix at a time on the OpenBLAS
+threads ``_blas`` grants it: LAPACK's ``dsyevr`` for the kept levels, numpy's
+``eigh`` at s = 0 and s = 1 up to ``SERIAL_BLAS_MAX_DIM`` and wherever numpy
+bundles no ``dsyevr``. A scan assembles blocks of grid points as stacks, which
+a pool of one thread per usable core takes one at a time; its results equal
+those of one solve per point bit for bit.
 """
 
 from __future__ import annotations
@@ -84,73 +85,48 @@ def _degenerate(spacing: np.ndarray, levels: np.ndarray) -> np.ndarray:
 def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
     """The ``keep`` lowest levels, with eigenvectors as columns, of a matrix or a stack at ``s``.
 
-    LAPACK's dsyevr, which computes only the levels asked for, solves one
-    matrix at a time above ``SERIAL_BLAS_MAX_DIM`` and wherever
-    ``7 * (keep + 1) <= dim``, where it beats a full ``eigh`` (see
-    ``_lowest``); otherwise, or without the bundled library, numpy's ``eigh``
-    solves the whole spectrum of a matrix or of a (B, dim, dim) stack. Up to
-    ``SERIAL_BLAS_MAX_DIM`` ``_lowest`` hands a matrix at s = 0 or s = 1 to
-    ``eigh`` instead. Every matrix is solved once, dsyevr overwrites the ones
-    it solves, and the first failing one raises EigensolverError naming its
-    own entry of ``s``.
-    """
-    dim = matrix.shape[-1]
-    with _blas.threads(dim):
-        if _blas.SYEVR is not None and (dim > SERIAL_BLAS_MAX_DIM or 7 * (keep + 1) <= dim):
-            return _lowest(matrix, s, keep)
-        return _eigh(matrix, s, keep)
-
-
-def _eigh(matrix: np.ndarray, s, keep: int):
-    """numpy's ``eigh``, cut to ``keep`` levels; a failed stack is solved again matrix by matrix."""
-    try:
-        w, v = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        if matrix.ndim == 2:
-            raise _failure(s, str(exc)) from exc
-        solved = [_eigh(one, point, keep) for one, point in zip(matrix, s)]
-        return tuple(np.stack(part) for part in zip(*solved))
-    return w[..., :keep], v[..., :keep]
-
-
-def _lowest(matrix: np.ndarray, s, keep: int):
-    """dsyevr's ``keep`` lowest levels and vectors of a matrix or a stack, one call per matrix.
-
-    Up to ``SERIAL_BLAS_MAX_DIM`` a matrix at s = 0 or s = 1 is solved by
-    numpy's ``eigh`` instead, so it keeps the vectors a full scan would give:
-    there H is the driver, whose E1 is n-fold degenerate, or the diagonal
-    problem, whose energies may tie. Anywhere in between a degeneracy takes a
-    symmetry (von Neumann and Wigner, 1929), and dsyevr's pick within it
-    stands. dsyevr overwrites the matrix it solves.
+    Each matrix is solved once, on the OpenBLAS threads ``_blas`` grants its
+    dimension, by LAPACK's dsyevr, which computes only the levels asked for
+    and overwrites the matrix. numpy's ``eigh`` solves it instead where no
+    bundled dsyevr exists, and up to ``SERIAL_BLAS_MAX_DIM`` at s = 0 or
+    s = 1, so those ends keep the vectors a full solve gives: there H is the
+    driver, whose E1 is n-fold degenerate, or the diagonal problem, whose
+    energies may tie. Anywhere in between a degeneracy takes a symmetry (von
+    Neumann and Wigner, 1929), and dsyevr's pick within it stands. The first
+    failing matrix raises EigensolverError naming its own entry of ``s``.
     """
     dim = matrix.shape[-1]
     # Copies only a read-only input.
     stack = np.require(matrix.reshape(-1, dim, dim), np.float64, ["C", "W"])
-    count = len(stack)
-    points = np.ravel(s).tolist()
     syevr = _blas.SYEVR
-    lapack_int = syevr.restype
-    found = lapack_int()
-    found_ref = ctypes.byref(found)
-    w = np.empty((count, dim))  # dsyevr may use all dim entries of each row
-    v = np.empty((count, keep, dim))
-    support = np.empty(2 * keep, dtype=np.dtype(lapack_int))
-    a_ptr, w_ptr, v_ptr, support_ptr = (x.ctypes.data for x in (stack, w, v, support))
-    for i, point in enumerate(points):
-        if dim <= SERIAL_BLAS_MAX_DIM and point in (0.0, 1.0):
-            w[i, :keep], vectors = _eigh(stack[i], point, keep)
-            v[i] = vectors.T
-            continue
-        found.value = 0
-        # Column-major (102) reads the C-ordered symmetric matrix unchanged and
-        # writes each eigenvector contiguously, as one row of ``v[i]``.
-        info = syevr(
-            102, b"V", b"I", b"L", dim, a_ptr + i * stack.strides[0], dim, 0.0, 0.0, 1, keep,
-            0.0, found_ref, w_ptr + i * w.strides[0], v_ptr + i * v.strides[0], dim, support_ptr,
-        )
-        if info or found.value != keep:
-            detail = f"dsyevr returned info={info} with {found.value} of {keep} levels"
-            raise _failure(point, detail)
+    w = np.empty((len(stack), dim))  # dsyevr may use all dim entries of each row
+    v = np.empty((len(stack), keep, dim))
+    a_ptr, w_ptr, v_ptr = (x.ctypes.data for x in (stack, w, v))
+    if syevr is not None:
+        found = syevr.restype()
+        found_ref = ctypes.byref(found)
+        support = np.empty(2 * keep, dtype=np.dtype(syevr.restype))
+        support_ptr = support.ctypes.data
+    with _blas.threads(dim):
+        for i, point in enumerate(np.ravel(s).tolist()):
+            if syevr is None or (dim <= SERIAL_BLAS_MAX_DIM and point in (0.0, 1.0)):
+                try:
+                    levels, vectors = np.linalg.eigh(stack[i])
+                except np.linalg.LinAlgError as exc:
+                    raise _failure(point, str(exc)) from exc
+                w[i, :keep], v[i] = levels[:keep], vectors[:, :keep].T
+                continue
+            found.value = 0
+            # Column-major (102) reads the C-ordered symmetric matrix unchanged and
+            # writes each eigenvector contiguously, as one row of ``v[i]``.
+            info = syevr(
+                102, b"V", b"I", b"L", dim, a_ptr + i * stack.strides[0], dim, 0.0, 0.0, 1,
+                keep, 0.0, found_ref, w_ptr + i * w.strides[0], v_ptr + i * v.strides[0],
+                dim, support_ptr,
+            )
+            if info or found.value != keep:
+                detail = f"dsyevr returned info={info} with {found.value} of {keep} levels"
+                raise _failure(point, detail)
     # Columns of a C-ordered array, as eigh gives them: numpy's matmul then
     # sums the dH/ds products in the same order, so an end point's element
     # and slope equal eigh's bit for bit.
@@ -212,9 +188,9 @@ class HyperbolaFit:
 def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
     """Levels, |<E1| dH/ds |E0>|, ground weights and gap slope at one s or a 1-D block of s.
 
-    A block is assembled and solved as one stack, and dH/ds is applied to the
-    kept eigenvectors of all its points at once. Nothing 2^n x 2^n outlives
-    the call: at n = 10, keeping a full eigenvector matrix or a dH/ds alive
+    A block is assembled as one stack, and dH/ds is applied to the kept
+    eigenvectors of all its points at once. Nothing 2^n x 2^n outlives the
+    call: at n = 10, keeping a full eigenvector matrix or a dH/ds alive
     raises the peak RSS by 8%.
     """
     w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
@@ -231,8 +207,8 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
 
     The grid is cut into blocks whose stacked H(s) fill ``SCAN_BLOCK_BYTES``,
     one point each above ``SERIAL_BLAS_MAX_DIM``. Up to that dimension a pool
-    of one thread per usable core takes the blocks one at a time; numpy
-    releases the GIL inside a stacked solve, so the blocks overlap. With one
+    of one thread per usable core takes the blocks one at a time; ctypes
+    releases the GIL inside each dsyevr call, so the blocks overlap. With one
     worker (one block, one core, or a larger matrix, whose solve gets the
     BLAS threads) the calling thread solves the blocks itself. Results are
     drained in grid order, so a failure reports the first failing s, and do
@@ -249,9 +225,8 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
 
     def solve_block(start: int) -> None:
         points = slice(start, start + size)
-        s = grid[points] if size > 1 else grid[start]
         table[points], element[points], weights[points], slope[points] = (
-            _solve_points(sched, s, keep)
+            _solve_points(sched, grid[points], keep)
         )
 
     # One worker solves on the calling thread: a pool thread's own malloc
@@ -368,18 +343,19 @@ def _fibonacci(f, count: int) -> float:
     return max(probe(lo + 1), *seen.values())
 
 
-def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
+def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float, np.ndarray]:
     """Minimum of the gap between the grid neighbours of index k, to ``s_tol`` in s.
 
     When the scanned gap slopes at the two bracket ends are negative and then
     positive, the minimum is the root of the slope there, and Brent's root
     search finds it in a few evaluations. Otherwise a golden-section search
     of the gap shrinks the bracket. Each evaluation solves H(s) once through
-    the scan's ``_solve_points`` and ``_solve``. Returns the best point
-    evaluated, or grid point k itself when no evaluation undercuts its gap.
+    the scan's ``_solve_points`` and ``_solve``. Returns s, the gap and the
+    levels of the best point evaluated, or of grid point k itself when no
+    evaluation undercuts its gap.
     """
     grid, sched, slopes = trace.grid, trace.schedule, trace.slope
-    best = float(grid[k]), float(trace.gap[k])
+    best = float(grid[k]), float(trace.gap[k]), trace.levels[k]
     lo, hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
 
     def ev(x: float) -> tuple[float, float]:
@@ -388,7 +364,7 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
         w, _, _, slope = _solve_points(sched, x, 2)
         gap = float(w[1] - w[0])
         if gap < best[1]:
-            best = float(x), gap
+            best = float(x), gap, w
         return gap, float(slope)
 
     if slopes[lo] < 0.0 < slopes[hi]:
@@ -396,6 +372,27 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float]:
     else:
         _golden(lambda x: ev(x)[0], grid[lo], grid[hi], s_tol)
     return best
+
+
+def _refined_minima(trace: SpectralTrace, indices, s_tol: float) -> list[tuple[float, float, bool]]:
+    """(s, gap, significant) of the gap minimum ``_refine`` finds at each grid index.
+
+    A minimum is significant when it undercuts the smaller endpoint gap of
+    the trace by more than ``DEFAULT_UNDERCUT``. Raises DegenerateLevelsError
+    where a refined gap is below the degeneracy tolerance of its levels: a gap
+    that small is rounding noise, not an anti-crossing.
+    """
+    if not _finite(s_tol, "s_tol") > 0:
+        raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
+    gaps = trace.gap
+    threshold = (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
+    found = []
+    for k in indices:
+        s, gap, levels = _refine(trace, k, s_tol)
+        if _degenerate(gap, levels):
+            raise DegenerateLevelsError(f"E0 and E1 are degenerate at s={s}; minimum gap undefined")
+        found.append((s, gap, gap < threshold))
+    return found
 
 
 def min_gap(trace: SpectralTrace, s_tol: float = 1e-6) -> MinGapResult:
@@ -408,13 +405,10 @@ def min_gap(trace: SpectralTrace, s_tol: float = 1e-6) -> MinGapResult:
     ``interior`` is True only when the minimum sits away from the schedule
     ends and undercuts the endpoint gap by more than ``DEFAULT_UNDERCUT`` (a
     significant anti-crossing); shallow end-of-schedule minima are reported
-    with interior=False.
+    with interior=False. Raises DegenerateLevelsError where the refined gap
+    is below the degeneracy tolerance of its levels.
     """
-    if not _finite(s_tol, "s_tol") > 0:
-        raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
-    gaps = trace.gap
-    s_star, delta = _refine(trace, int(np.argmin(gaps)), s_tol)
-    significant = delta < (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
+    [(s_star, delta, significant)] = _refined_minima(trace, [int(np.argmin(trace.gap))], s_tol)
     interior = significant and s_tol < s_star < 1.0 - s_tol
     return MinGapResult(s_star, delta, bool(interior))
 
@@ -425,15 +419,14 @@ def detect_anticrossing(trace: SpectralTrace, s_tol: float = 1e-6) -> list[AntiC
     A strict interior local minimum of the traced gap qualifies only when its
     refined floor undercuts the smaller endpoint gap by more than
     ``DEFAULT_UNDERCUT``; an empty list means the gap is monotone, minimized
-    only at an endpoint, or dips by less than the margin.
+    only at an endpoint, or dips by less than the margin. Raises
+    DegenerateLevelsError where a refined gap is below the degeneracy
+    tolerance of its levels.
     """
-    if not _finite(s_tol, "s_tol") > 0:
-        raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
     gaps = trace.gap
-    threshold = (1.0 - DEFAULT_UNDERCUT) * min(gaps[0], gaps[-1])
     minima = [k for k in range(1, len(gaps) - 1) if gaps[k - 1] > gaps[k] < gaps[k + 1]]
-    refined = [_refine(trace, k, s_tol) for k in minima]
-    return [AntiCrossing(s, g) for s, g in refined if g < threshold]
+    return [AntiCrossing(s, g) for s, g, significant in _refined_minima(trace, minima, s_tol)
+            if significant]
 
 
 def epsilon(trace: SpectralTrace) -> float:

@@ -344,7 +344,7 @@ def test_criterion_10_property_suites_and_sweep(full_sweep, rng):
     # eigensolver residual contract
     block = rng.normal(size=(32, 32))
     for matrix in (np.diag(problem_diagonal(_chain_ising(0.04))), block + block.T):
-        w, v = _solve(matrix, 0.5, keep=32)
+        w, v = _solve(matrix.copy(), 0.5, keep=32)  # dsyevr overwrites its input
         scale = max(np.abs(matrix).max(), 1.0)
         assert np.abs(matrix - v @ np.diag(w) @ v.T).max() <= 1e-9 * scale
         assert np.abs(v.T @ v - np.eye(32)).max() <= 1e-10

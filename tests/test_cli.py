@@ -188,6 +188,16 @@ class TestAnalyze:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_rounding_noise_minimum_is_numerical_failure(self, tmp_path, capsys):
+        # The delta_b = 1e-9 chain's refined gap is below the degeneracy tolerance.
+        path = tmp_path / "tiny.json"
+        save_problem(mis_chain(MisChainSpec(1e-9)), path)
+        rc = main(["analyze", "--problem", str(path), "--grid", "201",
+                   "--out", str(tmp_path / "tiny_")])
+        assert rc == 3
+        assert "E0 and E1 are degenerate at s=0.9999" in capsys.readouterr().err
+        assert not (tmp_path / "tiny_report.json").exists()
+
     def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         doc = {"form": "qubo", "n": 2, "quadratic": [[0, 1, 1.0]],
@@ -353,6 +363,18 @@ class TestSweep:
         assert failed[0] == "0" and "DegenerateLevelsError" in lines[1]
         assert failed[2] == ""
         assert good[0] == "0.04" and good[8] == ""
+
+    @pytest.mark.parametrize("grid", ["201", "2001"])
+    def test_rounding_noise_minimum_fails_its_cells(self, tmp_path, grid):
+        out = tmp_path / "summary.csv"
+        rc = main(["sweep", "--delta-b", "1e-9", "--methods", "stoquastic,nonstoquastic",
+                   "--grid", grid, "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.reader(out.read_text().splitlines()[1:]))
+        assert [row[1] for row in rows] == ["stoquastic", "nonstoquastic"]
+        for row in rows:
+            assert row[2:8] == [""] * 6
+            assert row[8].startswith("DegenerateLevelsError: E0 and E1 are degenerate at s=0.9999")
 
     def test_worker_count_does_not_change_output(self, tmp_path):
         serial = tmp_path / "serial.csv"

@@ -95,7 +95,7 @@ class TestFullSpectrum:
     def test_residual_contract_random(self, rng):
         a = rng.normal(size=(32, 32))
         m = a + a.T
-        w, v = spectral._solve(m, 0.5, keep=32)
+        w, v = spectral._solve(m.copy(), 0.5, keep=32)  # dsyevr overwrites its input
         scale = np.abs(m).max()
         assert np.abs(m - v @ np.diag(w) @ v.T).max() <= 1e-9 * scale
         assert np.abs(v.T @ v - np.eye(32)).max() <= 1e-10
@@ -213,6 +213,21 @@ class TestMinGap:
         assert result.delta_min < 0.01
         assert result.delta_min == pytest.approx(9.999875e-3, rel=1e-4)
 
+    @pytest.mark.parametrize("grid", [201, 2001])
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    def test_rounding_noise_minimum_is_degenerate(self, driver, grid):
+        # At delta_b = 1e-9 the refined gap near s = 0.99995 is 5e-12 to 1.1e-11,
+        # below the degeneracy tolerance 1e-12 x max |level| = 1.2e-11.
+        trace = gap_trace(chain_schedule(1e-9, driver=driver), grid, levels=2)
+        with pytest.raises(DegenerateLevelsError, match=r"degenerate at s=0\.9999"):
+            min_gap(trace)
+
+    def test_minimum_above_the_tolerance_is_reported(self):
+        trace = gap_trace(chain_schedule(1e-7), 201, levels=2)
+        result = min_gap(trace)
+        assert 5e-11 < result.delta_min < 6e-11
+        assert result.interior and 0.9994 < result.s_star < 0.9995
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             min_gap(gap_trace(two_level(), 2001), s_tol=0.0)
@@ -268,6 +283,21 @@ class TestDetectAnticrossing:
         assert len(found) == 1
         assert found[0].s == pytest.approx(0.75948, abs=1e-5)
         assert found[0].gap == pytest.approx(7.5779e-3, rel=1e-4)
+
+    @pytest.mark.parametrize("delta_b, near", [(1e-9, 0.99995), (1e-7, 0.9995)])
+    def test_dip_below_the_degeneracy_tolerance_raises(self, delta_b, near):
+        # A grid point next to the chain's crossing holds its gap minimum
+        # inside the trace. Refined, it is 6.7e-12 at delta_b = 1e-9, below the
+        # tolerance of 1.2e-11, and 3.7e-11 at 1e-7, above it.
+        sched = chain_schedule(delta_b)
+        trace = spectral._scan(sched, np.array([0.0, 0.5, 2 * near - 1.0, near, 1.0]), 2)
+        assert interior_minima(trace.gap) == [3]
+        if delta_b < 1e-8:
+            with pytest.raises(DegenerateLevelsError, match=r"degenerate at s=0\.9999"):
+                detect_anticrossing(trace)
+        else:
+            [found] = detect_anticrossing(trace)
+            assert found == min_gap(trace)[:2] and 3e-11 < found.gap < 4e-11
 
     @pytest.mark.parametrize("s_tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, s_tol):
@@ -534,8 +564,9 @@ class TestSingleScan:
 
     def test_consumers_read_the_trace(self, solve_counts):
         trace = gap_trace(chain_schedule(0.04), self.GRID)
-        assert solve_counts == solves(eigh=self.GRID)  # 6 levels at dimension 32
-        solve_counts.update(eigh=0)
+        # eigh solves s = 0 and s = 1, dsyevr the 6 levels everywhere else.
+        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2)
+        solve_counts.update(eigh=0, dsyevr=0)
         min_gap(trace, s_tol=self.S_TOL)
         assert solve_counts == solves(dsyevr=self.REFINE)
         overlap_trace(trace)
@@ -550,7 +581,7 @@ class TestSingleScan:
         rc = cli.main(["analyze", "--problem", str(path), "--grid", str(self.GRID),
                        "--s-tol", str(self.S_TOL), "--out", str(tmp_path / "run_")])
         assert rc == 0
-        assert solve_counts == solves(eigh=self.GRID, dsyevr=self.SEARCH + self.REFINE)
+        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2 + self.SEARCH + self.REFINE)
 
     def test_sweep_cell_solve_counts(self, solve_counts):
         # Two levels throughout; eigh solves s = 0 and s = 1, dsyevr the rest.
@@ -699,7 +730,14 @@ class TestGapSlopeRefiner:
     )
     def test_refined_gap_never_exceeds_the_scan(self, problem, driver, grid):
         trace = gap_trace(ScheduleSpec(problem=problem, driver=driver), grid)
-        assert min_gap(trace, s_tol=self.S_TOL).delta_min <= trace.gap.min()
+        s, gap, levels = spectral._refine(trace, int(np.argmin(trace.gap)), self.S_TOL)
+        assert gap <= trace.gap.min()
+        # min_gap reports that minimum, or raises where it is degenerate.
+        if spectral._degenerate(gap, levels):
+            with pytest.raises(DegenerateLevelsError, match=re.escape(f"s={s};")):
+                min_gap(trace, s_tol=self.S_TOL)
+        else:
+            assert min_gap(trace, s_tol=self.S_TOL)[:2] == (s, gap)
 
 
 def random_schedule(n: int) -> ScheduleSpec:
@@ -744,6 +782,45 @@ def blas_threads(monkeypatch):
     assert _blas._BLAS[0]() == startup
 
 
+@pytest.fixture(params=["eigh", "dsyevr"])
+def fail_solves(request, monkeypatch):
+    """``install(fails)`` makes a solve fail wherever ``fails`` is true of entry (0, 1) of H(s).
+
+    With the "eigh" parameter ``_blas.SYEVR`` is None, so numpy's ``eigh``
+    solves every matrix and raises. With "dsyevr" the bundled dsyevr solves
+    the matrix, then returns info = 1. Call ``install`` after any fixture
+    that wraps ``_blas.SYEVR``: the failing matrix is still solved through it.
+    """
+    if request.param == "eigh":
+        monkeypatch.setattr(_blas, "SYEVR", None)
+    elif _blas.SYEVR is None:
+        pytest.skip("no bundled LAPACKE dsyevr: every solve takes the numpy path")
+
+    def install(fails) -> None:
+        if request.param == "eigh":
+            original = np.linalg.eigh
+
+            def eigh(matrix):
+                if fails(matrix[0, 1]):
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return original(matrix)
+
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            return
+        syevr = _blas.SYEVR
+
+        def dsyevr(*args):
+            # Read before dsyevr overwrites the matrix.
+            entry = ctypes.cast(args[5], ctypes.POINTER(ctypes.c_double))[1]
+            info = syevr(*args)
+            return 1 if fails(entry) else info
+
+        dsyevr.restype = syevr.restype
+        monkeypatch.setattr(_blas, "SYEVR", dsyevr)
+
+    return install
+
+
 class TestSerialBlas:
     @pytest.mark.parametrize("n", [5, 8])
     def test_small_dimensions_solve_on_one_thread(self, blas_threads, n):
@@ -756,21 +833,13 @@ class TestSerialBlas:
         min_gap(gap_trace(random_schedule(9), 3), s_tol=1e-2)
         assert len(seen) > 3 and set(seen) == {startup}
 
-    def test_count_restored_after_failed_scan(self, blas_threads, monkeypatch):
+    def test_count_restored_after_failed_scan(self, blas_threads, fail_solves):
         startup, seen = blas_threads
-        original = np.linalg.eigh
-        failing = schedule_matrix(chain_schedule(0.04), 0.1)
-
-        def fail_second(matrix):
-            if any(np.array_equal(m, failing) for m in np.reshape(matrix, (-1, 32, 32))):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return original(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigh", fail_second)
+        fail_solves(lambda entry: entry == 1.0 - 0.1)  # H(0.1) holds 1 - s at (0, 1)
         with pytest.raises(EigensolverError, match=r"at s=0\.1:"):
             gap_trace(chain_schedule(0.04), 11)
-        # The block of all 11 points, then point by point up to the failing one.
-        assert seen == [1] * (11 + 2)
+        # One block of all 11 points, solved on one thread up to the failing s = 0.1.
+        assert seen == [1] * 2
         assert _blas._BLAS[0]() == startup
 
     def test_last_overlapping_user_restores(self, blas_threads):
@@ -921,7 +990,7 @@ class TestThreadIndependence:
 
 
 class TestBlockFailure:
-    """eigh fails on H(s) at two points in different blocks of a 101-point chain scan.
+    """The solve of H(s) fails at two points in different blocks of a 101-point chain scan.
 
     At dimension 32 a block holds 32 points, and two pool threads take the
     blocks one at a time. While one thread waits in the second block (points
@@ -933,62 +1002,45 @@ class TestBlockFailure:
     EARLIER, LATER = 40, 70  # in the second block and the third
 
     @pytest.fixture
-    def failing_eigh(self, monkeypatch):
-        original = np.linalg.eigh
+    def first_failure(self, monkeypatch, fail_solves):
         later_failed = threading.Event()
         # H(s) holds the driver coefficient 1 - s at entry (0, 1).
         earlier, later = 1.0 - self.GRID[self.EARLIER], 1.0 - self.GRID[self.LATER]
 
-        def eigh(matrix):
-            entries = np.atleast_1d(matrix[..., 0, 1])
-            if later in entries:
+        def fails(entry: float) -> bool:
+            if entry == later:
                 later_failed.set()
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            if earlier in entries:
+                return True
+            if entry == earlier:
                 assert later_failed.wait(timeout=30)
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return original(matrix)
+                return True
+            return False
 
         monkeypatch.setattr(_blas, "usable_cores", lambda: 2)
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        fail_solves(fails)
         return re.escape(f"at s={self.GRID[self.EARLIER]}:")
 
-    def test_first_failing_s_in_grid_order(self, failing_eigh):
+    def test_first_failing_s_in_grid_order(self, first_failure):
         startup = _blas._BLAS[0]() if _blas._BLAS else None
         before = set(threading.enumerate())
-        with pytest.raises(EigensolverError, match=failing_eigh):
+        with pytest.raises(EigensolverError, match=first_failure):
             gap_trace(chain_schedule(0.04), len(self.GRID))
         assert set(threading.enumerate()) == before  # no pool thread outlives the scan
         if startup is not None:
             assert _blas._BLAS[0]() == startup
 
-    def test_analyze_exits_3_without_report(self, failing_eigh, tmp_path, capsys):
+    def test_analyze_exits_3_without_report(self, first_failure, tmp_path, capsys):
         path = tmp_path / "chain.json"
         save_problem(chain_schedule(0.04).problem, path)
         rc = cli.main(["analyze", "--problem", str(path), "--grid", str(len(self.GRID)),
                        "--out", str(tmp_path / "chain_")])
         assert rc == 3
-        assert re.search(failing_eigh, capsys.readouterr().err)
+        assert re.search(first_failure, capsys.readouterr().err)
         assert not (tmp_path / "chain_report.json").exists()
 
 
 class TestStackFallback:
-    """A stack whose solve fails is solved again point by point."""
-
-    def test_failed_stacks_still_give_the_trace(self, monkeypatch):
-        # 101 points: three blocks of 32 and a short one of 5.
-        expected = gap_trace(chain_schedule(0.04), 101)
-        original = np.linalg.eigh
-
-        def eigh(matrix):
-            if matrix.ndim == 3:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return original(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        trace = gap_trace(chain_schedule(0.04), 101)
-        for name in ("levels", "element", "ground_weights"):
-            assert np.array_equal(getattr(trace, name), getattr(expected, name))
+    """A failed solve raises at once: no matrix is solved again."""
 
     def test_failed_single_point_is_solved_once(self, monkeypatch):
         # At dimension 256 a block holds one point. Without dsyevr numpy's
@@ -1123,10 +1175,7 @@ class TestLowestLevels:
 
 
 class TestKeptLevels:
-    """dsyevr for the kept levels up to dimension 256, against numpy's full eigh.
-
-    Below that dimension it runs where ``7 * (keep + 1) <= dim``.
-    """
+    """dsyevr for the kept levels up to dimension 256, against numpy's full eigh."""
 
     GRID = 11
 
