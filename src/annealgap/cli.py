@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error (files, formats, arguments), 3 numerical
 failure (eigensolver, degeneracies). A hyperbola fit whose window holds too
-few grid points is left out of the report, with a note on stderr. All
+few grid points is left out of the report, and a fit whose residual exceeds
+10% of the minimum gap stays in it; either gets a note on stderr. All
 emitted CSV and JSON numbers are formatted to 12 significant digits so
 identical inputs produce byte-identical outputs.
 """
@@ -14,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -170,10 +172,14 @@ def cmd_analyze(args) -> int:
     eps = epsilon(trace)
     fit = None
     if located.interior:
-        try:
-            fit = fit_hyperbola(trace, located.s_star, located.delta_min)
-        except FitWindowError as exc:  # a coarse grid: the report goes out without the fit
-            print(f"note: no hyperbola fit: {exc}", file=sys.stderr)
+        with warnings.catch_warnings(record=True) as misfits:  # a misfit is reported, not raised
+            warnings.simplefilter("always")
+            try:
+                fit = fit_hyperbola(trace, located.s_star, located.delta_min)
+            except FitWindowError as exc:  # a coarse grid: the report goes out without the fit
+                print(f"note: no hyperbola fit: {exc}", file=sys.stderr)
+        for misfit in misfits:
+            print(f"note: {misfit.message}", file=sys.stderr)
     t_est = t_approx(located.delta_min)
     overlaps = overlap_trace(trace, k_max=k_max)
 

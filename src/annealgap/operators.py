@@ -114,15 +114,18 @@ class ScheduleSpec:
         if self.driver not in (STOQUASTIC, NONSTOQUASTIC):
             raise ValueError(f"unknown driver {self.driver!r}")
         _check_cap(self.problem.n)
-        if self.driver == NONSTOQUASTIC:
-            top = np.abs(self.problem_diagonal).max()
-            if top > np.finfo(float).max / 2:
-                raise ProblemFormatError(f"energies up to |E| = {top:.6g} overflow the "
-                                         "non-stoquastic dH/ds, whose diagonal holds 2s E")
+        # dH/ds holds H_P times 1, or 2s for the non-stoquastic driver. The gap slope's
+        # products <v| dH/ds |v> may round some ulps above the largest |entry|.
+        nonstoq = self.driver == NONSTOQUASTIC
+        factor = 2.0 if nonstoq else 1.0
+        top = np.abs(self.problem_diagonal).max()
+        if top > np.finfo(float).max * (1.0 - 2.0 ** -20) / factor:
+            raise ProblemFormatError(f"energies up to |E| = {top:.6g} overflow the "
+                                     f"{'non-' * nonstoq}stoquastic dH/ds, whose diagonal "
+                                     f"holds {'2s ' * nonstoq}E, in the gap slope")
         # E1 - E0 of H_P is the gap at s = 1, and the gap slope there is that
-        # spread times H_P's factor in dH/ds: 1, or 2s for the non-stoquastic driver.
+        # spread times the factor.
         low, next_low = sorted(self.problem_diagonal.tolist())[:2]
-        factor = 2.0 if self.driver == NONSTOQUASTIC else 1.0
         if factor * (next_low - low) == np.inf:
             raise ProblemFormatError(f"the spread E1 - E0 of the two lowest energies, {low:.6g} "
                                      f"and {next_low:.6g}, overflows the gap slope "

@@ -56,7 +56,6 @@ DEFAULT_UNDERCUT = 0.01
 #: more peak RSS.
 SCAN_BLOCK_BYTES = 256 << 10
 
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
 
 
@@ -295,35 +294,15 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float, xtol: float) -> None:
         fb = f(b)
 
 
-def _golden(f, lo: float, hi: float, xtol: float) -> None:
-    """Golden-section search for a minimum of ``f`` on [lo, hi], down to width ``xtol``.
-
-    Never below 4 ulps of 1, where a bracket in [0, 1] stops shrinking. The
-    caller keeps what ``f`` saw.
-    """
-    xtol = max(xtol, 4.0 * _EPS)
-    c = hi - _INV_GOLD * (hi - lo)
-    d = lo + _INV_GOLD * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xtol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLD * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLD * (hi - lo)
-            fd = f(d)
-
-
 def _fibonacci(f, count: int) -> float:
     """The largest value of ``f`` that a Fibonacci search over ``range(count)`` sees.
 
-    The discrete ``_golden``, for a maximum: the open bracket
-    (lo, lo + small + large) has a Fibonacci width, and of its probes at
-    lo + small and lo + large the better one is a probe of the next, narrower
-    bracket. Indices from ``count`` on count as -inf and are never evaluated.
-    Where f is unimodal over the indices, the result is its maximum.
+    The discrete golden section (Kiefer, Proc. AMS 4, 502, 1953), for a
+    maximum: the open bracket (lo, lo + small + large) has a Fibonacci width,
+    and of its probes at lo + small and lo + large the better one is a probe
+    of the next, narrower bracket. Indices from ``count`` on count as -inf
+    and are never evaluated. Where f is unimodal over the indices, the result
+    is its maximum. Callers map index j to the sample a + (j + 1) h of a bracket.
     """
     small, large = 1, 1
     while small + large <= count:
@@ -348,11 +327,12 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float, n
 
     When the scanned gap slopes at the two bracket ends are negative and then
     positive, the minimum is the root of the slope there, and Brent's root
-    search finds it in a few evaluations. Otherwise a golden-section search
-    of the gap shrinks the bracket. Each evaluation solves H(s) once through
-    the scan's ``_solve_points`` and ``_solve``. Returns s, the gap and the
-    levels of the best point evaluated, or of grid point k itself when no
-    evaluation undercuts its gap.
+    search finds it in a few evaluations. Otherwise ``_fibonacci`` searches
+    the gap at samples ``s_tol`` apart inside the bracket, as ``epsilon``
+    searches its bracket's 19 samples. Each evaluation solves H(s) once
+    through the scan's ``_solve_points`` and ``_solve``. Returns s, the gap
+    and the levels of the best point evaluated, or of grid point k itself
+    when no evaluation undercuts its gap.
     """
     grid, sched, slopes = trace.grid, trace.schedule, trace.slope
     best = float(grid[k]), float(trace.gap[k]), trace.levels[k]
@@ -369,8 +349,10 @@ def _refine(trace: SpectralTrace, k: int, s_tol: float) -> tuple[float, float, n
 
     if slopes[lo] < 0.0 < slopes[hi]:
         _zeroin(lambda x: ev(x)[1], grid[lo], grid[hi], slopes[lo], slopes[hi], s_tol)
-    else:
-        _golden(lambda x: ev(x)[0], grid[lo], grid[hi], s_tol)
+    else:  # h never below 4 ulps of 1: closer samples in [0, 1] would round together
+        h = max(s_tol, 4.0 * _EPS)
+        count = math.ceil((grid[hi] - grid[lo]) / h) - 1
+        _fibonacci(lambda j: -ev(grid[lo] + (j + 1) * h)[0], count)
     return best
 
 
@@ -400,8 +382,9 @@ def min_gap(trace: SpectralTrace, s_tol: float = 1e-6) -> MinGapResult:
 
     The smallest traced gap is refined between its grid neighbours down to an
     s-error of at most ``s_tol``: by Brent's root search on the scanned gap
-    slope where that slope changes sign across the bracket, by golden-section
-    search otherwise. The refined value never exceeds any scanned gap.
+    slope where that slope changes sign across the bracket, by a Fibonacci
+    search of samples ``s_tol`` apart otherwise. The refined value never
+    exceeds any scanned gap.
     ``interior`` is True only when the minimum sits away from the schedule
     ends and undercuts the endpoint gap by more than ``DEFAULT_UNDERCUT`` (a
     significant anti-crossing); shallow end-of-schedule minima are reported
@@ -448,16 +431,18 @@ def epsilon(trace: SpectralTrace) -> float:
     _check_nondegenerate(trace, degenerate)
     grid = trace.grid
     i = int(np.argmax(trace.element))
-    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 21)[1:-1]
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    h = (hi - lo) / 20
 
     def ev(j: int) -> float:
         """The element at sample j."""
-        w, element, _, _ = _solve_points(trace.schedule, fine[j], 2)
+        s = lo + (j + 1) * h
+        w, element, _, _ = _solve_points(trace.schedule, s, 2)
         if _degenerate(w[1] - w[0], w):
-            raise DegenerateLevelsError(degenerate.format(s=fine[j]))
+            raise DegenerateLevelsError(degenerate.format(s=s))
         return element
 
-    return float(max(trace.element[i], _fibonacci(ev, len(fine))))
+    return float(max(trace.element[i], _fibonacci(ev, 19)))
 
 
 def t_approx(delta_min: float) -> float:

@@ -29,8 +29,6 @@ def load_workloads():
     return module
 
 
-# The stoquastic and non-stoquastic chain reports carry the known hyperbola misfit.
-@pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
 @pytest.mark.parametrize("name", ["chain-analyze", "chain-sweep"])
 def test_workload_outputs_pass_the_benchmark_check(name, tmp_path, monkeypatch):
     workload = load_workloads().WORKLOADS[name]()

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,11 +127,12 @@ class TestAnalyze:
         for name in ("gaps.csv", "overlaps.csv"):
             assert (tmp_path / f"a_{name}").read_bytes() == (tmp_path / f"b_{name}").read_bytes()
 
-    def test_chain_interior(self, tmp_path, chain_file):
+    def test_chain_interior(self, tmp_path, chain_file, capsys):
         prefix = str(tmp_path / "chain_")
-        with pytest.warns(RuntimeWarning, match="residual"):
-            rc = main(["analyze", "--problem", str(chain_file), "--out", prefix])
+        rc = main(["analyze", "--problem", str(chain_file), "--out", prefix])
         assert rc == 0
+        [note] = capsys.readouterr().err.splitlines()
+        assert note.startswith("note: hyperbola fit residual")
         report = json.loads((tmp_path / "chain_report.json").read_text())
         assert report["interior"] is True
         assert report["delta_min"] == pytest.approx(1.822812e-3, rel=1e-4)
@@ -168,13 +172,14 @@ class TestAnalyze:
         report = json.loads((tmp_path / "lv_report.json").read_text())
         assert report["levels"] == columns
 
-    def test_nonstoquastic_provenance(self, tmp_path, chain_file):
+    def test_nonstoquastic_provenance(self, tmp_path, chain_file, capsys):
         prefix = str(tmp_path / "ns_")
-        # a known misfit: residual 1.194e-2 against a minimum gap of 7.578e-3
-        with pytest.warns(RuntimeWarning, match="hyperbola fit residual"):
-            rc = main(["analyze", "--problem", str(chain_file), "--driver", "nonstoq",
-                       "--grid", "201", "--out", prefix])
+        rc = main(["analyze", "--problem", str(chain_file), "--driver", "nonstoq",
+                   "--grid", "201", "--out", prefix])
         assert rc == 0
+        # a known misfit: residual 1.194e-2 against a minimum gap of 7.578e-3
+        [note] = capsys.readouterr().err.splitlines()
+        assert note.startswith("note: hyperbola fit residual 1.194e-02 exceeds")
         report = json.loads((tmp_path / "ns_report.json").read_text())
         assert report["driver"] == "nonstoquastic"
         assert report["lambda_path"] == "linear"
@@ -451,3 +456,76 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
+
+
+#: Problem-file coefficients: ordinary floats, signed zeros, subnormals,
+#: values up to the float maximum and integers beyond the float range.
+FUZZ_NUMBERS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e154, -1e300,
+                     1e308, -1.7976931348623157e308]),
+    st.sampled_from([0, -2, 7, 2 ** 53 + 1, 10 ** 309, -(10 ** 400)]),
+)
+
+
+@st.composite
+def fuzz_problems(draw):
+    """A random Ising or QUBO file document with n <= 4, or a delta_b chain QUBO."""
+    if draw(st.booleans()):
+        delta_b = draw(st.sampled_from([0.0, 1e-9, 1e-7, 0.01, 0.04]) | st.floats(0.0, 0.3))
+        return mis_chain(MisChainSpec(delta_b))
+    n = draw(st.integers(1, 4))
+    pairs = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    return {
+        "form": draw(st.sampled_from(["ising", "qubo"])),
+        "n": n,
+        "quadratic": [pair + [draw(FUZZ_NUMBERS)] for pair in chosen],
+        "linear": draw(st.lists(FUZZ_NUMBERS, min_size=n, max_size=n)),
+        "offset": draw(FUZZ_NUMBERS),
+    }
+
+
+def json_numbers(doc):
+    """Every number in a parsed JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from json_numbers(item)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield doc
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=fuzz_problems(), driver=st.sampled_from(sorted(cli.DRIVER_TOKENS)),
+           grid=st.sampled_from([5, 21, 101]), k=st.none() | st.integers(0, 4),
+           form=st.sampled_from(["ising", "qubo"]))
+    # The non-stoquastic chain's hyperbola misfit.
+    @example(problem=mis_chain(MisChainSpec(0.04)), driver="nonstoq", grid=101, k=None,
+             form="ising")
+    def test_random_files_exit_cleanly(self, problem, driver, grid, k, form):
+        # Any warning is an error here, as under python -W error.
+        n = problem["n"] if isinstance(problem, dict) else problem.n
+        k = None if k is None else k % n
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "problem.json"
+            if isinstance(problem, dict):
+                path.write_text(json.dumps(problem), encoding="utf-8")
+            else:
+                save_problem(problem, path)
+            runs = [
+                (["analyze", "--driver", driver, "--grid", str(grid)]
+                 + ([] if k is None else ["--k", str(k)]), Path(tmp) / "run_", "report.json"),
+                (["transform", "--k", str(k or 0)], Path(tmp) / "moved.json", ""),
+                (["convert", "--to", form], Path(tmp) / "converted.json", ""),
+            ]
+            for argv, out, suffix in runs:
+                rc = main(argv + ["--problem", str(path), "--out", str(out)])
+                assert rc in (0, 2, 3), argv
+                written = Path(f"{out}{suffix}")
+                assert written.exists() == (rc == 0), argv
+                if rc == 0:
+                    doc = json.loads(written.read_text(encoding="utf-8"))
+                    assert all(math.isfinite(x) for x in json_numbers(doc)), (argv, doc)

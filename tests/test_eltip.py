@@ -21,6 +21,7 @@ from annealgap import (
     swap_labels,
     transform,
 )
+from annealgap import cli
 from conftest import (
     PAULI_X,
     ROW_ISING,
@@ -242,6 +243,19 @@ class TestChainPipeline:
             for k in range(5):
                 shuffled = np.sort(problem_diagonal(transform(ising, k)))
                 assert np.max(np.abs(shuffled - reference)) <= 1e-9
+
+    def test_every_pivot_ends_on_the_complement_pair(self):
+        # The chain's competing sets 10101 and 01010 are bitwise complements,
+        # coupled with element 1 by the global flip that each pivot's driver
+        # holds. Every ELTIP sweep cell ends there: epsilon(1) = 1, gap delta_b.
+        for delta_b in cli.SWEEP_DELTA_BS:
+            ising = qubo_to_ising(mis_chain(MisChainSpec(delta_b)))
+            for method, (driver, pivot) in cli.SWEEP_METHODS.items():
+                if pivot is None:
+                    continue
+                trace = gap_trace(cli._schedule(ising, driver, pivot), 51, levels=2)
+                assert trace.element[-1] == 1.0, (delta_b, method)
+                assert abs(trace.gap[-1] - delta_b) <= 1e-12, (delta_b, method)
 
 
 def kron_flips(n: int, spins) -> np.ndarray:

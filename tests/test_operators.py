@@ -316,6 +316,17 @@ class TestScheduleSpec:
         with pytest.raises(ProblemFormatError, match="overflow the non-stoquastic dH/ds"):
             ScheduleSpec(problem=problem, driver=NONSTOQUASTIC)
 
+    @pytest.mark.parametrize("driver, message", [
+        (STOQUASTIC, "overflow the stoquastic dH/ds, whose diagonal holds E"),
+        (NONSTOQUASTIC, "overflow the non-stoquastic dH/ds, whose diagonal holds 2s E"),
+    ])
+    def test_energies_at_the_float_maximum_rejected(self, driver, message):
+        # Every energy is -1.8e308 and no spread overflows, but the gap slope's
+        # products <v| dH/ds |v> round past the float maximum.
+        problem = IsingProblem(n=2, J={}, h=(0.0, 0.0), offset=-np.finfo(float).max)
+        with pytest.raises(ProblemFormatError, match=message):
+            ScheduleSpec(problem=problem, driver=driver)
+
     def test_nonstoquastic_gap_slope_doubles_the_spread(self):
         # |E| = 8.3e307 passes the 2 max|E| bound, but the non-stoquastic gap
         # slope 2 (E1 - E0) = 3.3e308 at s = 1 does not fit a float.

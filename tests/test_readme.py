@@ -57,7 +57,6 @@ def test_quick_tour_output_matches_comments():
     assert float(moved) == pytest.approx(0.0400, abs=5e-5)
 
 
-@pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
 def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
     setup, lines = command_line_sources()
     monkeypatch.chdir(tmp_path)

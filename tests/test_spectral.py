@@ -44,7 +44,6 @@ import annealgap
 from annealgap import _blas, cli, spectral
 from annealgap.cli import _sweep_cell
 from annealgap.operators import schedule_matrix
-from annealgap.spectral import _INV_GOLD
 from conftest import ising_problems, random_ising
 
 SQRT2 = math.sqrt(2.0)
@@ -543,13 +542,18 @@ def solves(eigh: int = 0, dsyevr: int = 0) -> dict:
     return {"eigh": eigh, "eigvalsh": 0, "dsyevr": dsyevr}
 
 
-def golden_evaluations(width: float, s_tol: float) -> int:
-    """Gap evaluations of a golden-section search narrowing ``width`` to ``s_tol``."""
-    steps = 0
-    while width > s_tol:
-        width *= _INV_GOLD
-        steps += 1
-    return 2 + steps
+def section_evaluations(width: float, s_tol: float) -> int:
+    """Gap evaluations of a Fibonacci search of the samples ``s_tol`` apart inside ``width``.
+
+    Its first bracket spans F(m) sample indices, the first Fibonacci number
+    above the sample count, and it probes m - 2 of them, provided none falls
+    past the last sample.
+    """
+    count = math.ceil(width / s_tol) - 1
+    fib = [1, 1]
+    while fib[-1] <= count:
+        fib.append(fib[-1] + fib[-2])
+    return len(fib) - 2
 
 
 class TestSingleScan:
@@ -574,7 +578,6 @@ class TestSingleScan:
         epsilon(trace)  # only the search around the arg-max
         assert solve_counts == solves(dsyevr=self.REFINE + self.SEARCH)
 
-    @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
     def test_analyze_solve_counts(self, tmp_path, solve_counts):
         path = tmp_path / "chain.json"
         save_problem(mis_chain(MisChainSpec(0.04)), path)
@@ -650,7 +653,7 @@ class TestGapSlopeRefiner:
         assert abs(located.s_star - root) <= tol
         assert located.delta_min <= trace.gap.min()
 
-    def test_golden_fallback_without_a_slope_sign_change(self, solve_counts):
+    def test_section_fallback_without_a_slope_sign_change(self, solve_counts):
         # On five points the 0.04 non-stoquastic gap rises at both ends of the
         # bracket [0.5, 1] around its crossing near s = 0.7595.
         sched = chain_schedule(0.04, driver=NONSTOQUASTIC)
@@ -659,7 +662,7 @@ class TestGapSlopeRefiner:
         assert (k, trace.slope[k - 1] > 0.0, trace.slope[k + 1] > 0.0) == (3, True, True)
         solve_counts.update(eigh=0, dsyevr=0)
         located = min_gap(trace, s_tol=self.S_TOL)
-        assert solve_counts == solves(dsyevr=golden_evaluations(0.5, self.S_TOL))
+        assert solve_counts == solves(dsyevr=section_evaluations(0.5, self.S_TOL))
         assert abs(located.s_star - slope_root(sched, 0.75, 0.77)) <= self.S_TOL
         assert located.interior
 
@@ -679,15 +682,14 @@ class TestGapSlopeRefiner:
         return solves
 
     @pytest.mark.parametrize("s_tol", [1e-17, 1e-20, 5e-324])
-    def test_golden_search_ends_below_float_spacing(self, bounded_solves, s_tol):
-        # The golden fallback's bracket [0.5, 1] stops shrinking a few ulps wide.
+    def test_section_search_ends_below_float_spacing(self, bounded_solves, s_tol):
+        # The fallback's samples in the bracket [0.5, 1] are never closer than 4 ulps of 1.
         trace = gap_trace(chain_schedule(0.04, driver=NONSTOQUASTIC), 5)
         bounded_solves[0] = 0
         located = min_gap(trace, s_tol=s_tol)
         assert detect_anticrossing(trace, s_tol=s_tol) == [located[:2]]
-        assert bounded_solves[0] == 2 * golden_evaluations(0.5, 4 * spectral._EPS)
+        assert bounded_solves[0] == 2 * section_evaluations(0.5, 4 * spectral._EPS)
 
-    @pytest.mark.filterwarnings("ignore:hyperbola fit residual:RuntimeWarning")
     def test_analyze_ends_below_float_spacing(self, bounded_solves, tmp_path, capsys):
         path = tmp_path / "chain.json"
         save_problem(mis_chain(MisChainSpec(0.04)), path)
@@ -738,6 +740,36 @@ class TestGapSlopeRefiner:
                 min_gap(trace, s_tol=self.S_TOL)
         else:
             assert min_gap(trace, s_tol=self.S_TOL)[:2] == (s, gap)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        problem=ising_problems(max_n=5),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        grid=st.integers(3, 12),
+    )
+    @example(problem=qubo_to_ising(mis_chain(MisChainSpec(0.04))), driver=NONSTOQUASTIC, grid=5)
+    def test_section_fallback_finds_the_smallest_sample(self, problem, driver, grid):
+        # Without a slope sign change across a bracket [a, b], _refine searches the
+        # 199 samples (b - a) / 200 apart; where the gap is unimodal over them, it
+        # returns the smallest of grid point k and those samples.
+        sched = ScheduleSpec(problem=problem, driver=driver)
+        trace = gap_trace(sched, grid)
+        for k in range(grid):
+            lo, hi = max(k - 1, 0), min(k + 1, grid - 1)
+            a, b = trace.grid[lo], trace.grid[hi]
+            s_tol = (b - a) / 200
+            if trace.slope[lo] < 0.0 < trace.slope[hi] or math.ceil((b - a) / s_tol) != 200:
+                continue  # Brent's root search, or 200 samples where the ratio rounds up
+            samples = a + s_tol * np.arange(1, 200)
+            levels = spectral._solve_points(sched, samples, 2)[0]
+            gaps = levels[:, 1] - levels[:, 0]
+            m = int(np.argmin(gaps))
+            steps = np.diff(gaps)
+            if not ((steps[:m] < 0.0).all() and (steps[m:] > 0.0).all()):
+                continue
+            smallest = ((float(trace.grid[k]), float(trace.gap[k])) if trace.gap[k] <= gaps[m]
+                        else (float(samples[m]), float(gaps[m])))
+            assert spectral._refine(trace, k, s_tol)[:2] == smallest
 
 
 def random_schedule(n: int) -> ScheduleSpec:
@@ -1233,7 +1265,9 @@ class TestKeptLevels:
             ends = [schedule_matrix(sched, 0.0), schedule_matrix(sched, 1.0)]
             assert len(by_dsyevr) == self.GRID - 2
             assert not any(np.array_equal(a, end) for a in by_dsyevr for end in ends)
-            assert len(by_eigh) == 2 and all(map(np.array_equal, by_eigh, ends))
+            # Two pool threads may reach s = 1 first.
+            assert len(by_eigh) == 2
+            assert all(any(np.array_equal(a, end) for a in by_eigh) for end in ends)
 
     def test_interior_symmetric_degeneracy_keeps_dsyevr_vectors(self, syevr, solve_counts,
                                                                   monkeypatch):
