@@ -41,6 +41,7 @@ from .spectral import (
     DegenerateLevelsError,
     EigensolverError,
     FitWindowError,
+    _extrema_trace,
     epsilon,
     fit_hyperbola,
     gap_trace,
@@ -229,11 +230,14 @@ def cmd_analyze(args) -> int:
 def _sweep_cell(delta_b: float, method: str, grid: int, s_tol: float) -> tuple:
     """Minimum gap, time estimate and epsilon of one chain instance under one method.
 
-    Raises whatever fails; ``t_approx`` comes before ``epsilon``, so a
-    non-positive minimum gap is reported as such.
+    The trace holds only the grid points that ``min_gap`` and ``epsilon``
+    read, found by ``_extrema_trace``'s coarse-to-fine search (about 85
+    solves at grid 2001 in place of 2001); the results equal those of a full
+    ``gap_trace`` bit for bit. Raises whatever fails; ``t_approx`` comes
+    before ``epsilon``, so a non-positive minimum gap is reported as such.
     """
     ising = qubo_to_ising(mis_chain(MisChainSpec(delta_b)))
-    trace = gap_trace(_schedule(ising, *SWEEP_METHODS[method]), grid, levels=2)
+    trace = _extrema_trace(_schedule(ising, *SWEEP_METHODS[method]), grid, levels=2)
     located = min_gap(trace, s_tol=s_tol)
     return located, t_approx(located.delta_min), epsilon(trace)
 

@@ -127,6 +127,14 @@ def _finite(value: float, what: str) -> float:
     return x
 
 
+def _converted(value: float, conversion: str, source: str) -> float:
+    """A coefficient that ``conversion`` computed from ``source``; raises
+    ProblemFormatError naming both when the value left the float range."""
+    if not math.isfinite(value):
+        raise ProblemFormatError(f"{conversion}: {source} overflows the float range when converted")
+    return value
+
+
 def _energy(n: int, quadratic, linear, offset: float, values) -> float:
     """The energy of ``values``: offset, quadratic terms in dict order, then linear
     terms. A value may be a number or an array with one entry per assignment.
@@ -285,14 +293,20 @@ def qubo_to_ising(p: QuboProblem) -> IsingProblem:
 
     J_ij = Q_ij / 4, h_i = b_i / 2 + (1/4) sum_{j != i} Q_ij, and the offset
     absorbs the constant so total energies match assignment by assignment.
+    Raises ProblemFormatError naming the input whose converted value overflows.
     """
     couplings = {key: value / 4.0 for key, value in p.Q.items()}
     row_sums = [0.0] * p.n
     for (i, j), value in p.Q.items():
         row_sums[i] += value
         row_sums[j] += value
-    fields = tuple(p.b[i] / 2.0 + row_sums[i] / 4.0 for i in range(p.n))
-    offset = p.offset + sum(p.b) / 2.0 + sum(p.Q.values()) / 4.0
+    fields = tuple(
+        _converted(p.b[i] / 2.0 + row_sums[i] / 4.0, "qubo_to_ising",
+                   f"b[{i}] = {p.b[i]!r} with the quadratic entries of variable {i}")
+        for i in range(p.n)
+    )
+    offset = _converted(p.offset + sum(p.b) / 2.0 + sum(p.Q.values()) / 4.0, "qubo_to_ising",
+                        f"offset = {p.offset!r} with the sums of b and of the quadratic entries")
     return IsingProblem(n=p.n, J=couplings, h=fields, offset=offset)
 
 
@@ -300,15 +314,24 @@ def ising_to_qubo(p: IsingProblem) -> QuboProblem:
     """Exact inverse of :func:`qubo_to_ising` up to offset bookkeeping.
 
     Q_ij = 4 J_ij, b_i = 2 h_i - 2 sum_{j != i} J_ij, and the offset gains
-    sum_{i<j} J_ij - sum_i h_i.
+    sum_{i<j} J_ij - sum_i h_i. Raises ProblemFormatError naming the input
+    whose converted value overflows.
     """
-    quadratic = {key: 4.0 * value for key, value in p.J.items()}
+    quadratic = {
+        (i, j): _converted(4.0 * value, "ising_to_qubo", f"coupling ({i},{j}) = {value!r}")
+        for (i, j), value in p.J.items()
+    }
     row_sums = [0.0] * p.n
     for (i, j), value in p.J.items():
         row_sums[i] += value
         row_sums[j] += value
-    linear = tuple(2.0 * p.h[i] - 2.0 * row_sums[i] for i in range(p.n))
-    offset = p.offset + sum(p.J.values()) - sum(p.h)
+    linear = tuple(
+        _converted(2.0 * p.h[i] - 2.0 * row_sums[i], "ising_to_qubo",
+                   f"h[{i}] = {p.h[i]!r} with the couplings of spin {i}")
+        for i in range(p.n)
+    )
+    offset = _converted(p.offset + sum(p.J.values()) - sum(p.h), "ising_to_qubo",
+                        f"offset = {p.offset!r} with the sums of the couplings and of h")
     return QuboProblem(n=p.n, Q=quadratic, b=linear, offset=offset)
 
 

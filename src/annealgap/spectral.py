@@ -5,7 +5,9 @@ lowest levels, the E1-E0 gap, the transition element |<E1| dH/ds |E0>|, the
 Hellmann-Feynman gap slope and the squared ground-state amplitudes.
 ``min_gap``, ``detect_anticrossing``, ``epsilon``, ``fit_hyperbola`` and
 ``overlap_trace`` take that trace as their input; a root search on the gap
-slope refines gap minima below the grid step.
+slope refines gap minima below the grid step. ``_extrema_trace`` keeps only
+the grid points that ``min_gap`` and ``epsilon`` read, found by a
+coarse-to-fine search of the grid, each equal to its row of a full scan.
 Also here: the eigendecomposition contract, the reciprocal-square time
 estimate and the two-level hyperbola fit near an anti-crossing.
 
@@ -55,6 +57,9 @@ DEFAULT_UNDERCUT = 0.01
 #: chain sweep on two cores: 128 KiB took 10% more CPU time, 512 KiB 1 MB
 #: more peak RSS.
 SCAN_BLOCK_BYTES = 256 << 10
+
+#: Points of the coarse pass of ``_extrema_trace``'s grid search, ends included.
+_COARSE_POINTS = 51
 
 _EPS = float(np.finfo(float).eps)
 
@@ -136,7 +141,8 @@ def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
 
 @dataclass(frozen=True)
 class SpectralTrace:
-    """What ``gap_trace`` scanned: the lowest levels of H(s) on an ascending grid.
+    """The lowest levels of H(s) on an ascending grid: all of ``gap_trace``'s, or the points
+    ``_extrema_trace`` kept.
 
     Per grid point it holds the ascending ``levels``, |<E1| dH/ds |E0>|
     (``element``), the squared ground-state amplitudes (``ground_weights``,
@@ -236,15 +242,71 @@ def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:
     return SpectralTrace(grid, table, sched, element, weights, slope)
 
 
-def gap_trace(
-    sched: ScheduleSpec, grid_points: int = 2001, levels: int = 6
-) -> SpectralTrace:
-    """Diagonalize H(s) on a uniform grid over [0, 1] including both endpoints."""
+def _grid(sched: ScheduleSpec, grid_points: int, levels: int) -> tuple[np.ndarray, int]:
+    """The uniform grid over [0, 1] with both endpoints, and the levels a solve keeps."""
     if _integer(grid_points, "grid_points") < 2:
         raise ValueError(f"grid must hold at least 2 points, got {grid_points}")
     if _integer(levels, "levels") < 2:
         raise ValueError(f"levels must be at least 2, got {levels}")
-    return _scan(sched, np.linspace(0.0, 1.0, grid_points), min(int(levels), 1 << sched.n))
+    return np.linspace(0.0, 1.0, grid_points), min(int(levels), 1 << sched.n)
+
+
+def gap_trace(
+    sched: ScheduleSpec, grid_points: int = 2001, levels: int = 6
+) -> SpectralTrace:
+    """Diagonalize H(s) on a uniform grid over [0, 1] including both endpoints."""
+    return _scan(sched, *_grid(sched, grid_points, levels))
+
+
+def _extrema_trace(sched: ScheduleSpec, grid_points: int, levels: int) -> SpectralTrace:
+    """The points of ``gap_trace``'s grid that ``min_gap`` and ``epsilon`` read.
+
+    A coarse-to-fine search of the N-point grid. ``_scan`` solves every m-th
+    index and the last, m = max(1, (N - 1) // 50). Wherever a coarse gap is
+    no larger, or a coarse element no smaller, than at its coarse neighbours,
+    ``_fibonacci`` searches the indices strictly between those neighbours.
+    Then the grid neighbours of the kept gap arg-min and element arg-max
+    (first on ties) are solved until none is new. The trace holds the kept
+    points in grid order, each equal bit for bit to its row of ``gap_trace``,
+    so ``min_gap`` and ``epsilon`` see the brackets of a full scan and return
+    its floats. That holds where each fine extremum lies between the coarse
+    neighbours of a coarse local extremum and the sequence is unimodal there,
+    over 2m grid steps; ``_refine`` and ``epsilon`` already assume as much
+    within one step. ``epsilon``'s E0/E1 degeneracy check sees only the kept
+    points.
+    """
+    grid, keep = _grid(sched, grid_points, levels)
+    last = len(grid) - 1
+    coarse = [*range(0, last, max(1, last // (_COARSE_POINTS - 1))), last]
+    scanned = _scan(sched, grid[coarse], keep)
+    rows = dict(zip(coarse, zip(scanned.levels, scanned.element, scanned.ground_weights,
+                                scanned.slope)))
+
+    def row(i: int) -> tuple:
+        """The solved point at grid index i, solving it once."""
+        if i not in rows:
+            rows[i] = _solve_points(sched, grid[i], keep)
+        return rows[i]
+
+    # E0 - E1 and the element, both searched as maxima; argmax of E0 - E1 is argmin of the gap.
+    targets = (lambda i: row(i)[0][0] - row(i)[0][1], lambda i: row(i)[1])
+    for value in targets:
+        values = [value(i) for i in coarse]
+        for c in range(len(coarse)):
+            lo, hi = max(c - 1, 0), min(c + 1, len(coarse) - 1)
+            if values[c] >= max(values[lo], values[hi]):
+                start = coarse[lo]
+                _fibonacci(lambda j: value(start + 1 + j), coarse[hi] - start - 1)
+    while True:
+        kept = sorted(rows)
+        tops = [kept[int(np.argmax([value(i) for i in kept]))] for value in targets]
+        new = sorted({j for k in tops for j in (k - 1, k + 1) if 0 <= j <= last} - rows.keys())
+        if not new:
+            break
+        for j in new:
+            row(j)
+    levels, elements, weights, slopes = map(np.array, zip(*(rows[i] for i in kept)))
+    return SpectralTrace(grid[kept], levels, sched, elements, weights, slopes)
 
 
 def _check_nondegenerate(trace: SpectralTrace, message: str) -> None:
@@ -420,12 +482,14 @@ def epsilon(trace: SpectralTrace) -> float:
     gap-normalised element |<E1| dH/ds |E0>| / (E1 - E0) is a different
     quantity and is not what this returns.
 
-    The grid arg-max is refined at ten times the resolution: a Fibonacci
-    search of the 19 samples between its grid neighbours solves at most 6 of
-    them, and where the element is unimodal across that bracket (as
-    ``_refine`` assumes of the gap) it finds the largest of the 19. Raises
-    DegenerateLevelsError when E0 and E1 coincide at a grid point or a
-    visited sample, where the matrix element is not basis-independent.
+    The trace's arg-max is refined at ten times the grid resolution: a
+    Fibonacci search of the 19 samples between its neighbours in the trace
+    solves at most 6 of them, and where the element is unimodal across that
+    bracket (as ``_refine`` assumes of the gap) it finds the largest of the
+    19. The neighbours are grid neighbours in a trace from ``gap_trace`` or
+    ``_extrema_trace``. Raises DegenerateLevelsError when E0 and E1 coincide
+    at a point of the trace or a visited sample, where the matrix element is
+    not basis-independent.
     """
     degenerate = "E0 and E1 are degenerate at s={s}; transition element undefined"
     _check_nondegenerate(trace, degenerate)

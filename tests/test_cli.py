@@ -58,6 +58,21 @@ class TestConvert:
         copied = load_problem(out)
         assert copied.Q == original.Q and copied.b == original.b
 
+    @pytest.mark.parametrize("to, doc, message", [
+        ("qubo", {"form": "ising", "n": 2, "quadratic": [[0, 1, 1e308]], "linear": [0, 0]},
+         "ising_to_qubo: coupling (0,1) = 1e+308 overflows the float range"),
+        ("ising", {"form": "qubo", "n": 3, "quadratic": [[0, 1, 1e308], [0, 2, 1e308]],
+                   "linear": [0, 0, 0]},
+         "qubo_to_ising: b[0] = 0.0 with the quadratic entries of variable 0 overflows"),
+    ])
+    def test_overflowing_conversion_is_input_error(self, tmp_path, capsys, to, doc, message):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "converted.json"
+        assert main(["convert", "--problem", str(path), "--to", to, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["convert", "--problem", str(tmp_path / "nope.json"), "--to", "ising",
                    "--out", str(tmp_path / "x.json")])

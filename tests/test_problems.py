@@ -311,6 +311,40 @@ class TestIsingToQubo:
             assert back.offset == pytest.approx(p.offset, abs=1e-12)
 
 
+class TestConversionOverflow:
+    """A converted coefficient beyond the float range names the conversion and its input."""
+
+    @pytest.mark.parametrize("problem, message", [
+        (IsingProblem(n=2, J={(0, 1): 1e308}), r"ising_to_qubo: coupling \(0,1\) = 1e\+308 "),
+        (IsingProblem(n=2, h=(-1e308, 0.0), J={(0, 1): 1e308}),
+         r"ising_to_qubo: coupling \(0,1\) = 1e\+308 "),
+        (IsingProblem(n=2, h=(1e308, 0.0)),
+         r"ising_to_qubo: h\[0\] = 1e\+308 with the couplings of spin 0 "),
+        (IsingProblem(n=2, J={(0, 1): 1e307}, h=(-1e308, 0.0)),
+         r"ising_to_qubo: h\[0\] = -1e\+308 with the couplings of spin 0 "),
+        (IsingProblem(n=2, h=(8e307, 8e307), offset=-1e308),
+         r"ising_to_qubo: offset = -1e\+308 with the sums of the couplings and of h "),
+    ])
+    def test_ising_to_qubo(self, problem, message):
+        with pytest.raises(ProblemFormatError, match=message + "overflows the float range"):
+            ising_to_qubo(problem)
+
+    @pytest.mark.parametrize("problem, message", [
+        (QuboProblem(n=3, Q={(0, 1): 1.5e308, (0, 2): 1.5e308}),
+         r"qubo_to_ising: b\[0\] = 0\.0 with the quadratic entries of variable 0 "),
+        (QuboProblem(n=2, b=(1.5e308, 1.5e308)),
+         r"qubo_to_ising: offset = 0\.0 with the sums of b and of the quadratic entries "),
+    ])
+    def test_qubo_to_ising(self, problem, message):
+        with pytest.raises(ProblemFormatError, match=message + "overflows the float range"):
+            qubo_to_ising(problem)
+
+    def test_largest_finite_results_convert(self):
+        # 4 x 4e307 and 2 x 8.5e307 stay finite: nothing is rejected early.
+        qubo = ising_to_qubo(IsingProblem(n=2, J={(0, 1): 4e307}, h=(8.5e307, 0.0)))
+        assert qubo.Q == {(0, 1): 1.6e308} and qubo.b == (2 * 8.5e307 - 8e307, -8e307)
+
+
 class TestEnergy:
     def test_chain_ground_assignment(self):
         p = mis_chain(MisChainSpec(0.04))

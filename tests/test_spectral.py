@@ -587,9 +587,11 @@ class TestSingleScan:
         assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2 + self.SEARCH + self.REFINE)
 
     def test_sweep_cell_solve_counts(self, solve_counts):
-        # Two levels throughout; eigh solves s = 0 and s = 1, dsyevr the rest.
+        # Two levels throughout; eigh solves s = 0 and s = 1, dsyevr the 49
+        # other points of the coarse pass (every second grid point), the 4
+        # odd points its grid search adds (1, 35, 37 and 75) and the rest.
         _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
-        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2 + self.SEARCH + self.REFINE)
+        assert solve_counts == solves(eigh=2, dsyevr=49 + 4 + self.SEARCH + self.REFINE)
 
 
 def sweep_schedule(delta_b: float, method: str) -> ScheduleSpec:
@@ -599,6 +601,91 @@ def sweep_schedule(delta_b: float, method: str) -> ScheduleSpec:
     if method == "stoquastic":
         return chain_schedule(delta_b)
     return chain_schedule(delta_b, pivot=int(method.removeprefix("eltip-k")))
+
+
+def sweep_cell_text(*cell) -> str:
+    """``_sweep_cell``'s result as its repr, or its error as text, as ``sweep`` writes it."""
+    try:
+        return repr(_sweep_cell(*cell))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def full_scan_cell_text(*cell) -> str:
+    """``sweep_cell_text`` with the cell's trace from a full ``gap_trace``."""
+    with mock.patch.object(cli, "_extrema_trace", gap_trace):
+        return sweep_cell_text(*cell)
+
+
+class TestExtremaTrace:
+    """The coarse-to-fine grid search of a sweep cell against the full scan, bit for bit."""
+
+    @pytest.mark.parametrize("method", cli.SWEEP_METHODS)
+    @pytest.mark.parametrize("delta_b", [0.01, 0.04])
+    def test_benchmark_cells_match_the_full_scan(self, delta_b, method):
+        sched = sweep_schedule(delta_b, method)
+        trace = spectral._extrema_trace(sched, 2001, 2)
+        full = gap_trace(sched, 2001, 2)
+        rows = np.searchsorted(full.grid, trace.grid)
+        assert np.array_equal(full.grid[rows], trace.grid)
+        for name in ("levels", "element", "ground_weights", "slope"):
+            assert np.array_equal(getattr(full, name)[rows], getattr(trace, name)), name
+        # Both extrema are kept with their grid neighbours, as _refine and epsilon read them.
+        for k in (int(np.argmin(full.gap)), int(np.argmax(full.element))):
+            assert {max(k - 1, 0), k, min(k + 1, 2000)} <= set(rows.tolist())
+        assert len(rows) < 110
+        assert sweep_cell_text(delta_b, method, 2001, 1e-6) == full_scan_cell_text(
+            delta_b, method, 2001, 1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        delta_b=st.sampled_from([0.0, 1e-9, 1e-7]) | st.floats(0.0, 10.0),
+        method=st.sampled_from(list(cli.SWEEP_METHODS)),
+        grid=st.integers(2, 401),
+    )
+    @example(delta_b=0.0, method="stoquastic", grid=2)
+    @example(delta_b=1e-9, method="nonstoquastic", grid=401)
+    def test_sweep_cell_matches_the_full_scan(self, delta_b, method, grid):
+        cell = (delta_b, method, grid, 1e-6)
+        assert sweep_cell_text(*cell) == full_scan_cell_text(*cell)
+
+    def test_benchmark_cells_solve_counts(self, solve_counts):
+        for delta_b in (0.01, 0.04):
+            for method in cli.SWEEP_METHODS:
+                _sweep_cell(delta_b, method, 2001, 1e-6)
+        # Full scans of the same cells take 28 + 28,100.
+        assert solve_counts == solves(eigh=28, dsyevr=1150)
+
+    def test_dip_behind_a_shallower_coarse_minimum(self, monkeypatch):
+        # On 2001 points the coarse pass sees every 40th. A broad V has its
+        # coarse minimum 0.9 at index 400; a narrow dip at index 1019 shows
+        # only 0.9075 at index 1000, a coarse local minimum, yet goes down to
+        # 0.8619. The element mirrors the gap about index 1000.
+        def gap(i):
+            dip = np.maximum(0.0, 1.0 - np.abs(i - 1019) / 40)
+            return 0.9 + 1e-4 * np.abs(i - 400) - 0.1 * dip
+
+        def solve_points(sched, s, keep):
+            i = np.rint(np.asarray(s) * 2000)
+            g, e = gap(i), 2.0 - gap(2000 - i)
+            return np.stack([np.zeros_like(g), g], -1), e, np.ones(np.shape(s) + (2,)), 0 * g
+
+        monkeypatch.setattr(spectral, "_solve_points", solve_points)
+        trace = spectral._extrema_trace(two_level(), 2001, 2)
+        kept = set(np.rint(trace.grid * 2000).astype(int).tolist())
+        assert {1018, 1019, 1020, 980, 981, 982} <= kept
+        assert trace.gap.min() == gap(1019) and trace.element.max() == 2.0 - gap(1019)
+
+    def test_coarse_pass_covers_a_short_grid(self, solve_counts):
+        trace = spectral._extrema_trace(chain_schedule(0.04), 51, 2)
+        assert np.array_equal(trace.grid, np.linspace(0.0, 1.0, 51))
+        assert solve_counts == solves(eigh=2, dsyevr=49)
+
+    def test_sizes_checked_like_gap_trace(self):
+        with pytest.raises(ValueError, match="grid must hold at least 2 points, got 1"):
+            spectral._extrema_trace(two_level(), 1, 2)
+        with pytest.raises(ValueError, match="levels must be at least 2, got 1"):
+            spectral._extrema_trace(two_level(), 11, 1)
 
 
 def slope_oracle(sched: ScheduleSpec, s: float) -> float:
