@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -173,14 +172,14 @@ def cmd_analyze(args) -> int:
     eps = epsilon(trace)
     fit = None
     if located.interior:
-        with warnings.catch_warnings(record=True) as misfits:  # a misfit is reported, not raised
-            warnings.simplefilter("always")
-            try:
-                fit = fit_hyperbola(trace, located.s_star, located.delta_min)
-            except FitWindowError as exc:  # a coarse grid: the report goes out without the fit
-                print(f"note: no hyperbola fit: {exc}", file=sys.stderr)
-        for misfit in misfits:
-            print(f"note: {misfit.message}", file=sys.stderr)
+        try:
+            fit = fit_hyperbola(trace, located.s_star, located.delta_min)
+        except FitWindowError as exc:  # a coarse grid: the report goes out without the fit
+            print(f"note: no hyperbola fit: {exc}", file=sys.stderr)
+        else:
+            if fit.residual > 0.1 * located.delta_min:  # a misfit stays in the report
+                print(f"note: hyperbola fit residual {fit.residual:.3e} exceeds "
+                      f"10% of the minimum gap {located.delta_min:.3e}", file=sys.stderr)
     t_est = t_approx(located.delta_min)
     overlaps = overlap_trace(trace, k_max=k_max)
 
@@ -233,8 +232,7 @@ def _sweep_cell(delta_b: float, method: str, grid: int, s_tol: float) -> tuple:
     The trace holds only the grid points that ``min_gap`` and ``epsilon``
     read, found by ``_extrema_trace``'s coarse-to-fine search (about 85
     solves at grid 2001 in place of 2001); the results equal those of a full
-    ``gap_trace`` bit for bit. Raises whatever fails; ``t_approx`` comes
-    before ``epsilon``, so a non-positive minimum gap is reported as such.
+    ``gap_trace`` bit for bit. Raises whatever fails.
     """
     ising = qubo_to_ising(mis_chain(MisChainSpec(delta_b)))
     trace = _extrema_trace(_schedule(ising, *SWEEP_METHODS[method]), grid, levels=2)

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,12 +67,20 @@ def _normalize_quadratic(
     return out
 
 
+def _sequence(values: object, what: str) -> tuple:
+    """``values`` as a tuple in their order: a sequence or a 1-D array.
+
+    Mappings, sets, scalars and other iterables are rejected, naming the field:
+    a mapping would yield its keys, a set an arbitrary order.
+    """
+    if isinstance(values, Sequence) or isinstance(values, np.ndarray) and values.ndim == 1:
+        return tuple(values)
+    raise ProblemFormatError(f"{what} must be a sequence of numbers, got {values!r}")
+
+
 def _check_linear(n: int, values: Iterable[float], what: str) -> tuple[float, ...]:
     """``values`` as n finite floats; an empty or missing (None) vector is all zeros."""
-    try:
-        values = tuple(() if values is None else values)
-    except TypeError:
-        raise ProblemFormatError(f"{what} must be a sequence of numbers, got {values!r}") from None
+    values = () if values is None else _sequence(values, what)
     vec = tuple(_finite(v, f"{what}[{i}]") for i, v in enumerate(values)) or (0.0,) * n
     if len(vec) != n:
         raise ProblemFormatError(f"{what} must have length n={n}, got {len(vec)}")
@@ -221,7 +229,9 @@ class SpinAssignment:
         if self.form not in (Q_FORM, SIGMA_FORM):
             raise ProblemFormatError(f"unknown assignment form {self.form!r}")
         allowed = {0, 1} if self.form == Q_FORM else {-1, 1}
-        values = tuple(self.values)
+        values = _sequence(self.values, "assignment values")
+        if not values:
+            raise ProblemFormatError("assignment values must hold at least one value")
         # Checked before int(), which would truncate 0.5 to 0 and -1.5 to -1.
         if not all(v in allowed for v in values):
             raise ProblemFormatError(

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -53,9 +52,10 @@ DEGENERACY_TOL = 1e-12
 DEFAULT_UNDERCUT = 0.01
 
 #: Bytes of stacked H(s) per block of a scan up to SERIAL_BLAS_MAX_DIM:
-#: 32 points at dimension 32, 2 at 128, 1 at 256. Measured on the 5-spin
-#: chain sweep on two cores: 128 KiB took 10% more CPU time, 512 KiB 1 MB
-#: more peak RSS.
+#: 32 points at dimension 32, 2 at 128, 1 at 256. Measured on two cores on
+#: the 5-spin chain sweep before its cells searched the grid, when each
+#: scanned all 2001 points: 128 KiB took 10% more CPU time, 512 KiB 1 MB
+#: more peak RSS. ``analyze`` is the remaining full-grid scan.
 SCAN_BLOCK_BYTES = 256 << 10
 
 #: Points of the coarse pass of ``_extrema_trace``'s grid search, ends included.
@@ -531,9 +531,9 @@ def fit_hyperbola(
     with Dmin held fixed at the supplied minimum gap. The mean of the two
     branches determines (E(s*), B) by linear least squares; the squared
     branch difference determines A^2 by least squares through the origin.
-    A residual above 10% of ``delta_min`` triggers a warning rather than an
-    exception. ``s_star`` must be finite, ``delta_min`` finite and >= 0, and
-    ``window`` finite and > 0.
+    ``residual`` is returned, not judged: the caller decides whether the
+    misfit matters. ``s_star`` must be finite, ``delta_min`` finite and >= 0,
+    and ``window`` finite and > 0.
     """
     _finite(s_star, "s_star")
     if not _finite(delta_min, "delta_min") >= 0:
@@ -566,13 +566,6 @@ def fit_hyperbola(
     center_line = e_center + slope_mean * x
     res = np.concatenate([center_line - half - e0, center_line + half - e1])
     residual = float(np.sqrt(np.mean(res ** 2)))
-    if residual > 0.1 * delta_min:
-        warnings.warn(
-            f"hyperbola fit residual {residual:.3e} exceeds "
-            f"10% of the minimum gap {delta_min:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return HyperbolaFit(
         a=float(math.sqrt(a_sq)),
         b=float(slope_mean),

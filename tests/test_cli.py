@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,21 @@ class TestAnalyze:
         assert report["interior"] is True
         assert report["delta_min"] == pytest.approx(1.822812e-3, rel=1e-4)
         assert report["hyperbola"] is not None
+
+    def test_fit_warnings_reach_the_caller(self, tmp_path, chain_file, capsys, monkeypatch):
+        # Only the misfit becomes a note; any other warning raised in the fit
+        # is left to the caller's filters.
+        def fit_hyperbola(*args):
+            warnings.warn("lstsq rcond is deprecated", DeprecationWarning)
+            return real_fit(*args)
+
+        real_fit = cli.fit_hyperbola
+        monkeypatch.setattr(cli, "fit_hyperbola", fit_hyperbola)
+        with pytest.warns(DeprecationWarning, match="rcond"):
+            rc = main(["analyze", "--problem", str(chain_file), "--out", str(tmp_path / "w_")])
+        assert rc == 0
+        [note] = capsys.readouterr().err.splitlines()
+        assert note.startswith("note: hyperbola fit residual")
 
     def test_transformed_chain_not_interior(self, tmp_path, chain_file):
         prefix = str(tmp_path / "moved_")

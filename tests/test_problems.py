@@ -153,7 +153,13 @@ class TestProblemConstruction:
         ):
             build(bad)
 
-    @pytest.mark.parametrize("bad", [5, 1.5, True, object()])
+    @pytest.mark.parametrize(
+        "bad",
+        [5, 1.5, True, object(),
+         # A mapping would give its keys, a set its iteration order.
+         pytest.param({0: 5.0, 1: 7.0, 2: 9.0}, id="mapping"),
+         pytest.param({5.0, 7.0, 9.0}, id="set")],
+    )
     @pytest.mark.parametrize("build, field", LINEAR_FIELDS)
     def test_non_sequence_linear_rejected(self, build, field, bad):
         with pytest.raises(ProblemFormatError, match=f"{field} must be a sequence of numbers"):
@@ -227,6 +233,19 @@ class TestSpinAssignment:
     def test_non_integral_values_rejected_not_truncated(self, values, form):
         with pytest.raises(ProblemFormatError, match=f"{form}-form assignment"):
             SpinAssignment(values, form)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [pytest.param(5, "must be a sequence of numbers, got 5", id="int"),
+         pytest.param(None, "must be a sequence of numbers, got None", id="none"),
+         pytest.param(np.array([[1, 0]]), "must be a sequence of numbers", id="2d-array"),
+         pytest.param({0: 1}, "must be a sequence of numbers, got {0: 1}", id="mapping"),
+         pytest.param({0, 1}, "must be a sequence of numbers", id="set"),
+         pytest.param((), "must hold at least one value", id="empty")],
+    )
+    def test_non_sequence_values_rejected(self, values, message):
+        with pytest.raises(ProblemFormatError, match=f"assignment values {message}"):
+            SpinAssignment(values)
 
     def test_integral_floats_accepted(self):
         a = SpinAssignment((1.0, -1.0), "sigma")

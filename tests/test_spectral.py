@@ -440,6 +440,8 @@ class TestFitHyperbola:
         assert fit.b == pytest.approx(0.0, abs=1e-9)
         assert fit.e_center == pytest.approx(0.0, abs=1e-9)
         assert fit.residual <= 1e-9
+        # s = 0.45 through 0.5495 at step 5e-4; 0.55 lies 4e-17 beyond the window.
+        assert fit.points == 200
 
     def test_synthetic_recovery(self):
         # H(s) = (1-s) X + s (Z + c): levels s c +- sqrt(1/2 + 2 (s - 1/2)^2),
@@ -478,12 +480,14 @@ class TestFitHyperbola:
         with pytest.raises(ValueError, match=message):
             fit_hyperbola(trace, s_star, delta_min, window)
 
-    def test_high_residual_warns(self):
+    def test_high_residual_is_returned(self):
+        # The chain's misfit is a value for the caller to judge; no warning is
+        # raised, which the suite's error filter would turn into a failure.
         sched = chain_schedule(0.04)
         trace = gap_trace(sched, 2001)
         result = min_gap(trace)
-        with pytest.warns(RuntimeWarning, match="residual"):
-            fit = fit_hyperbola(trace, result.s_star, result.delta_min)
+        fit = fit_hyperbola(trace, result.s_star, result.delta_min)
+        assert fit.residual > 0.1 * result.delta_min
         assert fit.a > 0 and math.isfinite(fit.a) and math.isfinite(fit.b)
 
     def test_chain_fit_stable_in_tight_window(self):
@@ -620,8 +624,9 @@ def full_scan_cell_text(*cell) -> str:
 class TestExtremaTrace:
     """The coarse-to-fine grid search of a sweep cell against the full scan, bit for bit."""
 
+    # The default sweep's 35 cells, the benchmark's 14 among them.
     @pytest.mark.parametrize("method", cli.SWEEP_METHODS)
-    @pytest.mark.parametrize("delta_b", [0.01, 0.04])
+    @pytest.mark.parametrize("delta_b", cli.SWEEP_DELTA_BS)
     def test_benchmark_cells_match_the_full_scan(self, delta_b, method):
         sched = sweep_schedule(delta_b, method)
         trace = spectral._extrema_trace(sched, 2001, 2)
