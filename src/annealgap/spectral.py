@@ -20,12 +20,17 @@ separation); the margin keeps those out of reports while leaving genuine
 anti-crossings, which undercut the final gap by factors of 10 to 10^4,
 untouched.
 
-Every eigensolve goes through ``_solve``, one matrix at a time on the OpenBLAS
-threads ``_blas`` grants it: LAPACK's ``dsyevr`` for the kept levels, numpy's
-``eigh`` at s = 0 and s = 1 up to ``SERIAL_BLAS_MAX_DIM`` and wherever numpy
-bundles no ``dsyevr``. A scan assembles blocks of grid points as stacks, which
-a pool of one thread per usable core takes one at a time; its results equal
-those of one solve per point bit for bit.
+Every dense eigensolve goes through ``_solve``, one matrix at a time on the
+OpenBLAS threads ``_blas`` grants it: LAPACK's ``dsyevr`` for the kept levels,
+numpy's ``eigh`` at s = 0 and s = 1 up to ``SERIAL_BLAS_MAX_DIM`` and wherever
+numpy bundles no ``dsyevr``. Below dimension 1024 a scan assembles blocks of
+grid points as stacks, which up to ``SERIAL_BLAS_MAX_DIM`` a pool of one
+thread per usable core takes one at a time; its results equal those of one
+solve per point bit for bit. From 1024 up no matrix is built unless it must
+be: ``_krylov``, a block Lanczos on the matrix-free product of ``operators``,
+finds the kept levels on one thread and solves its small Ritz problems
+through ``_solve``. Only where it finds a degenerate pair, or does not
+converge, is the dense H(s) solved by ``_solve``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 
 from . import _blas
 from ._blas import SERIAL_BLAS_MAX_DIM
-from .operators import ScheduleSpec, schedule_matrix
+from .operators import ScheduleSpec, _schedule_product, schedule_matrix
 from .problems import _finite, _integer
 
 #: Two ascending levels closer than this, relative to max(1, max |level|) at
@@ -62,6 +67,24 @@ SCAN_BLOCK_BYTES = 256 << 10
 _COARSE_POINTS = 51
 
 _EPS = float(np.finfo(float).eps)
+
+#: Smallest dimension whose points ``_solve_points`` first hands to ``_krylov``.
+#: Per point of a random problem, 6 levels, on a 2-vCPU VM: dsyevr on two
+#: threads against ``_krylov`` on one, 11.3 against 11.7 ms at 512, 64
+#: against 19 ms at 1024 and 456 against 38 ms at 2048.
+_KRYLOV_MIN_DIM = 1024
+
+#: Most basis vectors ``_krylov`` builds, so that each Ritz problem stays on
+#: one OpenBLAS thread.
+_KRYLOV_BASIS = SERIAL_BLAS_MAX_DIM
+
+#: Residual norm, relative to max(1, max |level|), below which a Ritz pair has converged.
+_KRYLOV_TOL = 16 * _EPS
+
+#: Norm of a new residual row, relative to max(1, max |Q_j^T H Q_j|) of the
+#: block it continues, below which the residual block has lost rank. On
+#: random 10- and 11-spin problems under both drivers the smallest was 0.09.
+_RANK_TOL = 1e-8
 
 
 class EigensolverError(RuntimeError):
@@ -89,15 +112,17 @@ def _degenerate(spacing: np.ndarray, levels: np.ndarray) -> np.ndarray:
 def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
     """The ``keep`` lowest levels, with eigenvectors as columns, of a matrix or a stack at ``s``.
 
-    Each matrix is solved once, on the OpenBLAS threads ``_blas`` grants its
-    dimension, by LAPACK's dsyevr, which computes only the levels asked for
-    and overwrites the matrix. numpy's ``eigh`` solves it instead where no
-    bundled dsyevr exists, and up to ``SERIAL_BLAS_MAX_DIM`` at s = 0 or
-    s = 1, so those ends keep the vectors a full solve gives: there H is the
-    driver, whose E1 is n-fold degenerate, or the diagonal problem, whose
-    energies may tie. Anywhere in between a degeneracy takes a symmetry (von
-    Neumann and Wigner, 1929), and dsyevr's pick within it stands. The first
-    failing matrix raises EigensolverError naming its own entry of ``s``.
+    The one call into LAPACK: a dense H(s), or the Ritz problem of
+    ``_krylov`` at its s. Each matrix is solved once, on the OpenBLAS threads
+    ``_blas`` grants its dimension, by LAPACK's dsyevr, which computes only
+    the levels asked for and overwrites the matrix. numpy's ``eigh`` solves
+    it instead where no bundled dsyevr exists, and up to
+    ``SERIAL_BLAS_MAX_DIM`` at s = 0 or s = 1, so those ends keep the
+    vectors a full solve gives: there H is the driver, whose E1 is n-fold
+    degenerate, or the diagonal problem, whose energies may tie. Anywhere in
+    between a degeneracy takes a symmetry (von Neumann and Wigner, 1929),
+    and dsyevr's pick within it stands. The first failing matrix raises
+    EigensolverError naming its own entry of ``s``.
     """
     dim = matrix.shape[-1]
     # Copies only a read-only input.
@@ -137,6 +162,99 @@ def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
     vectors = np.ascontiguousarray(v.swapaxes(1, 2))
     shape = matrix.shape[:-2]
     return w[:, :keep].reshape(shape + (keep,)), vectors.reshape(shape + (dim, keep))
+
+
+def _start_block(dim: int) -> np.ndarray:
+    """Two fixed rows of pseudo-random entries in [-1, 1), the splitmix64 hash of 0 .. 2 dim - 1.
+
+    Exact integer arithmetic, so every platform starts from the same block.
+    """
+    x = np.arange(2 * dim, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)).astype(float).reshape(2, dim) * 2.0 ** -52 - 1.0
+
+
+def _orthonormal(block: np.ndarray, floor: float) -> np.ndarray | None:
+    """Orthonormalize the two rows of ``block`` in place by Gram-Schmidt run twice.
+
+    Returns the upper-triangular r with the old block = r.T @ the new one, or
+    None where a row keeps a norm of at most ``floor`` after the projection.
+    """
+    first, second = block
+    r00 = math.sqrt(first @ first)
+    if r00 <= floor:
+        return None
+    first /= r00
+    r01 = first @ second
+    second -= r01 * first
+    again = first @ second
+    second -= again * first
+    r11 = math.sqrt(second @ second)
+    if r11 <= floor:
+        return None
+    second /= r11
+    return np.array([[r00, r01 + again], [0.0, r11]])
+
+
+def _krylov(sched: ScheduleSpec, s: float, keep: int):
+    """The ``keep`` lowest levels of H(s) and their vectors as ``_solve`` gives them, or None.
+
+    Block Lanczos (Golub & Underwood, 1977) with blocks of 2 rows, from the
+    fixed ``_start_block``: H(s) is applied without a matrix
+    (``operators._schedule_product``), and each new block is orthogonalized
+    twice against the whole basis (Parlett, The Symmetric Eigenvalue Problem,
+    1998). The Ritz problem, the block-tridiagonal T = Q^T H Q, goes through
+    ``_solve`` for keep + 1 levels: first at 8 (keep + 1) basis vectors, then
+    where the residual decay seen so far predicts convergence. The pairs have
+    converged when every residual norm is below _KRYLOV_TOL x max(1, max
+    |level|). Everything runs on one OpenBLAS thread, so the result does not
+    depend on the core count.
+
+    None, for a dense solve, where two of the keep + 1 converged levels are
+    ``_degenerate`` (a block of 2 shows every level of multiplicity 2 or more
+    at least twice: so E1 of the driver at s = 0 falls back), where the
+    residual block loses rank and where the basis reaches _KRYLOV_BASIS vectors.
+    """
+    dim = 1 << sched.n
+    if keep + 1 > _KRYLOV_BASIS:
+        return None
+    basis = np.empty((_KRYLOV_BASIS, dim))
+    t = np.zeros((_KRYLOV_BASIS, _KRYLOV_BASIS))
+    basis[:2] = _start_block(dim)
+    _orthonormal(basis[:2], 0.0)
+    m, check, last = 2, 8 * (keep + 1), None
+    with _blas.threads(_KRYLOV_BASIS):
+        while True:
+            w = _schedule_product(sched, s, basis[m - 2:m])
+            diagonal = basis[m - 2:m] @ w.T
+            for _ in range(2):
+                w -= (basis[:m] @ w.T).T @ basis[:m]
+            t[m - 2:m, m - 2:m] = (diagonal + diagonal.T) / 2
+            r = _orthonormal(w, _RANK_TOL * max(1.0, np.abs(diagonal).max()))
+            if r is None:
+                return None
+            if m >= check or m == _KRYLOV_BASIS:
+                levels, y = _solve(t[:m, :m], s, keep=keep + 1)
+                tol = _KRYLOV_TOL * max(1.0, np.abs(levels).max())
+                worst = float(np.sqrt(((r @ y[m - 2:]) ** 2).sum(axis=0)).max())
+                if worst <= tol:
+                    if _degenerate(np.diff(levels), levels).any():
+                        return None
+                    return levels[:keep], basis[:m].T @ y[:, :keep]
+                # The log residual falls about linearly in m: check again where
+                # the last two checks put the tolerance, at most m / 2 later.
+                excess, step = math.log(worst / tol), m // 2
+                if last is not None and last[1] > excess:
+                    step = min(step, max(8, math.ceil(excess * (m - last[0]) / (last[1] - excess))))
+                last, check = (m, excess), m + step
+            if m == _KRYLOV_BASIS:
+                return None
+            basis[m:m + 2] = w
+            t[m:m + 2, m - 2:m] = r
+            t[m - 2:m, m:m + 2] = r.T
+            m += 2
 
 
 @dataclass(frozen=True)
@@ -193,11 +311,26 @@ class HyperbolaFit:
 def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
     """Levels, |<E1| dH/ds |E0>|, ground weights and gap slope at one s or a 1-D block of s.
 
-    A block is assembled as one stack, and dH/ds is applied to the kept
-    eigenvectors of all its points at once. Nothing 2^n x 2^n outlives the
-    call: at n = 10, keeping a full eigenvector matrix or a dH/ds alive
-    raises the peak RSS by 8%.
+    Below ``_KRYLOV_MIN_DIM`` a block is assembled as one stack, solved by
+    ``_solve``, and dH/ds is applied to the kept eigenvectors of all its
+    points at once. From that dimension up each point goes to ``_krylov``
+    first and to ``_solve`` where that returns None, and dH/ds is applied to
+    E0's and E1's vectors without a matrix. Nothing 2^n x 2^n outlives the
+    call, and from 1024 up none is built but the H(s) of a dense solve: at
+    n = 10, keeping a full eigenvector matrix or a dH/ds alive raised the
+    peak RSS by 8%.
     """
+    if 1 << sched.n >= _KRYLOV_MIN_DIM:
+        rows = []
+        for point in np.ravel(s).tolist():
+            found = _krylov(sched, point, keep)
+            w, v = found or _solve(schedule_matrix(sched, point), point, keep=keep)
+            pair = np.ascontiguousarray(v[:, :2].T)
+            products = pair @ _schedule_product(sched, point, pair, derivative=True).T
+            rows.append((w, abs(products[1, 0]), pair[0] ** 2, products[1, 1] - products[0, 0]))
+        if np.ndim(s) == 0:
+            return rows[0]
+        return tuple(map(np.array, zip(*rows)))
     w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
     v0, v1 = v[..., 0], v[..., 1]
     dh = schedule_matrix(sched, s, derivative=True)

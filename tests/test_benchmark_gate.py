@@ -3,16 +3,19 @@
 For each chain workload of ``perfbench/workloads.py``, one round of its
 operations runs in-process through ``cli.main`` in a temporary directory, and
 the workload's ``check`` (the goldens at the benchmark's tolerances) must
-report no failed operation. ``dense-n10`` is left to the benchmark, because
-its independent oracle takes about 10 s to build. Nothing under
-``perfbench/`` is changed.
+report no failed operation. ``dense-n10``'s independent oracle takes about
+10 s to build, so its seed-0 instance is drawn without it and its outputs are
+compared with the workload's golden alone. Nothing under ``perfbench/`` is
+changed.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from annealgap import cli
@@ -40,3 +43,14 @@ def test_workload_outputs_pass_the_benchmark_check(name, tmp_path, monkeypatch):
         attempted, failed, errors = workload.check(tmp_path, op, cli.main(op.args))
         assert attempted == workload.operations
         assert failed == 0, errors
+
+
+def test_dense_n10_outputs_match_the_golden(tmp_path, monkeypatch):
+    workloads = load_workloads()
+    rng = np.random.default_rng(workloads.DENSE_DEFAULT_SEED)
+    workloads._draw_problem(rng)  # the first draw fails `_admissible`; the second is the input
+    (tmp_path / "dense.json").write_text(json.dumps(workloads._draw_problem(rng), indent=2) + "\n")
+    monkeypatch.chdir(tmp_path)
+    [op] = workloads.WORKLOADS["dense-n10"]().round(random.Random(0))
+    assert cli.main(op.args) == 0
+    assert workloads.compare_to_golden(tmp_path, "dense_", workloads.GOLDEN / "dense-n10") == []

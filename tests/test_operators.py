@@ -23,7 +23,7 @@ from annealgap import (
     problem_diagonal,
     qubo_to_ising,
 )
-from annealgap.operators import _flip_indices, schedule_matrix
+from annealgap.operators import _flip_indices, _schedule_product, schedule_matrix
 from conftest import (
     PAULI_X,
     ROW_ISING,
@@ -247,6 +247,37 @@ class TestDenseReferenceProperty:
             want_h, want_d = kron_schedule(problem, driver, point)
             assert_close(hamiltonian, want_h)
             assert_close(derivative, want_d)
+
+
+class TestMatrixFreeProduct:
+    """``_schedule_product`` against the product with ``schedule_matrix``, within 1e-12."""
+
+    @staticmethod
+    def assert_product(sched: ScheduleSpec, s: float, rows: int, derivative: bool) -> None:
+        block = np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 1 << sched.n))
+        want = block @ schedule_matrix(sched, s, derivative=derivative)
+        got = _schedule_product(sched, s, block, derivative=derivative)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        problem=ising_problems(),
+        driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]),
+        s=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        rows=st.integers(1, 3),
+        derivative=st.booleans(),
+    )
+    def test_random_problems(self, problem, driver, s, rows, derivative):
+        self.assert_product(ScheduleSpec(problem=problem, driver=driver), s, rows, derivative)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_seven_and_eight_spins(self, n, driver, derivative):
+        sched = ScheduleSpec(problem=random_ising(np.random.default_rng(n), n), driver=driver)
+        for s in (0.0, 1.0, *np.random.default_rng(n).uniform(0.0, 1.0, 3)):
+            self.assert_product(sched, float(s), 2, derivative)
 
 
 class TestScheduleMatrixStack:

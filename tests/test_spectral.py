@@ -1218,6 +1218,11 @@ def dense_n9() -> ScheduleSpec:
     return ScheduleSpec(problem=random_ising(np.random.default_rng(9), 9))
 
 
+def dense_n10(driver: str = STOQUASTIC) -> ScheduleSpec:
+    """A seeded random 10-spin problem: dimension 1024, where ``_krylov`` solves first."""
+    return ScheduleSpec(problem=random_ising(np.random.default_rng(10), 10), driver=driver)
+
+
 def tied_schedule() -> ScheduleSpec:
     """5 spins whose second- and third-lowest energies tie at -12, with no spin symmetry.
 
@@ -1410,6 +1415,93 @@ class TestKeptLevels:
         fallback = gap_trace(sched, 21, levels=2)
         for name in ("levels", "element", "ground_weights", "slope"):
             assert np.abs(getattr(trace, name) - getattr(fallback, name)).max() <= 1e-11
+
+
+@pytest.fixture
+def large_solves(syevr, monkeypatch):
+    """The s of each H(s) or dH/ds ``_solve_points`` assembles, and how many 1024-wide dsyevr
+    solves run while the test runs."""
+    seen = {"assembled": [], "dsyevr": 0}
+
+    def assemble(sched, s, derivative=False, _original=schedule_matrix):
+        seen["assembled"].extend((point, derivative) for point in np.ravel(s).tolist())
+        return _original(sched, s, derivative)
+
+    def dsyevr(*args):
+        seen["dsyevr"] += args[4] == 1024  # N, the order of the matrix
+        return syevr(*args)
+
+    dsyevr.restype = syevr.restype
+    monkeypatch.setattr(spectral, "schedule_matrix", assemble)
+    monkeypatch.setattr(_blas, "SYEVR", dsyevr)
+    return seen
+
+
+def dense_path_trace(monkeypatch, sched: ScheduleSpec, grid: int, levels: int) -> SpectralTrace:
+    """``gap_trace`` with every point solved by ``_solve`` and a dense dH/ds, as below 1024."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_KRYLOV_MIN_DIM", 2 << sched.n)
+        return gap_trace(sched, grid, levels)
+
+
+def assert_same_trace(trace: SpectralTrace, reference: SpectralTrace) -> None:
+    """Levels and weights bit for bit; element and slope, from another dH/ds product, to 1e-12."""
+    assert np.array_equal(trace.levels, reference.levels)
+    assert np.array_equal(trace.ground_weights, reference.ground_weights)
+    for name in ("element", "slope"):
+        assert np.abs(getattr(trace, name) - getattr(reference, name)).max() <= 1e-12
+
+
+class TestKrylov:
+    """Block Lanczos from dimension 1024 up, against numpy's full eigh and the dense path."""
+
+    GRID = 5
+
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    def test_trace_matches_eigh(self, driver):
+        sched = dense_n10(driver)
+        trace = gap_trace(sched, self.GRID)
+        for i, s in enumerate(trace.grid):
+            w, v = np.linalg.eigh(schedule_matrix(sched, s))
+            assert np.abs(trace.levels[i] - w[:6]).max() <= 1e-11
+            assert np.abs(trace.ground_weights[i] - v[:, 0] ** 2).max() <= 1e-10
+            if s > 0.0:  # at s = 0 E1 is degenerate and the element depends on its vector
+                dh = schedule_matrix(sched, s, derivative=True)
+                assert abs(trace.element[i] - abs(v[:, 1] @ dh @ v[:, 0])) <= 1e-10
+                slope = v[:, 1] @ dh @ v[:, 1] - v[:, 0] @ dh @ v[:, 0]
+                assert abs(trace.slope[i] - slope) <= 1e-10
+
+    def test_only_s0_is_solved_dense(self, large_solves):
+        trace = gap_trace(dense_n10(), self.GRID)
+        min_gap(trace, s_tol=1e-3)
+        epsilon(trace)
+        # E1 of the driver is 10-fold degenerate at s = 0; every other point
+        # converges, and no point builds a dense dH/ds.
+        assert large_solves == {"assembled": [(0.0, False)], "dsyevr": 1}
+
+    @pytest.mark.parametrize("fields", [(0.5,) * 10, (0.3, 0.3, 0.41, 0.53, 0.62, 0.75, 0.87,
+                                                      0.99, 1.13, 1.27)], ids=["all", "one-pair"])
+    def test_degenerate_e1_falls_back_everywhere(self, large_solves, monkeypatch, fields):
+        # Uncoupled spins: E1 is degenerate at every s, 10-fold when all fields are equal
+        # (the residual block loses rank) and 2-fold when two are (a degenerate Ritz pair).
+        sched = ScheduleSpec(problem=IsingProblem(n=10, h=fields))
+        trace = gap_trace(sched, self.GRID, levels=2)
+        assert large_solves["dsyevr"] == self.GRID
+        assert_same_trace(trace, dense_path_trace(monkeypatch, sched, self.GRID, 2))
+
+    @pytest.mark.parametrize("basis", [4, 8])
+    def test_basis_cap_falls_back(self, large_solves, monkeypatch, basis):
+        # 4 cannot hold the 7 Ritz pairs of 6 levels; 8 holds them, unconverged.
+        monkeypatch.setattr(spectral, "_KRYLOV_BASIS", basis)
+        trace = gap_trace(dense_n10(), 3)
+        assert large_solves["dsyevr"] == 3
+        assert_same_trace(trace, dense_path_trace(monkeypatch, dense_n10(), 3, 6))
+
+    def test_ritz_problems_solve_on_one_thread(self, blas_threads):
+        startup, seen = blas_threads
+        gap_trace(dense_n10(), 3)
+        # s = 0 goes to dsyevr on the library's threads; each Ritz problem after it on one.
+        assert seen[0] == startup and len(seen) > 2 and set(seen[1:]) == {1}
 
 
 class TestLapackeHandle:
