@@ -1,17 +1,18 @@
 """Dense real-symmetric operators for annealing schedules.
 
-Both drivers are fixed bit-flip patterns: H_B holds 1 at every pair of basis
-indices one spin flip apart, H_AFF 2/n at every pair two flips apart. They
-are written at flat index arrays of those pairs rather than built from
-Kronecker products, so every operator is exactly symmetric by construction.
-Basis convention: bit i of index m is 0 for sigma_i = +1. A ``ScheduleSpec``
-caches H_P as its diagonal vector; the flip-pair indices are built once per
-spin count. ``schedule_matrix`` fills one zeroed array with H(s) or dH/ds from
-them, or a stack of such arrays for a block of s; it is the one place the
-drivers are built as matrices. ``_schedule_product`` applies the same H(s)
-or dH/ds to a block of vectors without a matrix. ``hamiltonian_at`` wraps one
-H(s) as a read-only, symmetry-checked ``DenseOperator`` for callers outside
-the spectral scan.
+A schedule is H(s) = c_E(s) E + c_S(s) S + c_SS(s) S^2 / n, where E is the
+problem diagonal and S = sum_i X_i; ``_terms`` holds each driver's
+coefficients, and those of dH/ds, in one place. S holds 1 at every pair of
+basis indices one spin flip apart, and S^2 / n = H_AFF holds 2/n at every
+pair two flips apart and 1 on the diagonal. Basis convention: bit i of index
+m is 0 for sigma_i = +1. A ``ScheduleSpec`` caches E as a vector; the
+flip-pair indices are built once per spin count. ``schedule_matrix`` writes
+the terms at those indices into one zeroed array, exactly symmetric by
+construction, or into a stack of arrays for a block of s; it is the one
+place H(s) is built as a matrix, and dH/ds is never one.
+``_schedule_product`` applies H(s) or dH/ds to a block of vectors.
+``hamiltonian_at`` wraps one H(s) as a read-only, symmetry-checked
+``DenseOperator`` for callers outside the spectral scan.
 Dense storage is capped at 14 spins (16384 x 16384), checked before
 allocating.
 """
@@ -116,10 +117,11 @@ class ScheduleSpec:
         if self.driver not in (STOQUASTIC, NONSTOQUASTIC):
             raise ValueError(f"unknown driver {self.driver!r}")
         _check_cap(self.problem.n)
-        # dH/ds holds H_P times 1, or 2s for the non-stoquastic driver. The gap slope's
-        # products <v| dH/ds |v> may round some ulps above the largest |entry|.
+        # dH/ds holds H_P times 1, or 2s for the non-stoquastic driver: largest at
+        # s = 1. The gap slope's products <v| dH/ds |v> may round some ulps above
+        # the largest |entry|.
         nonstoq = self.driver == NONSTOQUASTIC
-        factor = 2.0 if nonstoq else 1.0
+        factor = _terms(self, 1.0, derivative=True)[0]
         top = np.abs(self.problem_diagonal).max()
         if top > np.finfo(float).max * (1.0 - 2.0 ** -20) / factor:
             raise ProblemFormatError(f"energies up to |E| = {top:.6g} overflow the "
@@ -144,38 +146,46 @@ class ScheduleSpec:
         return diag
 
 
-def schedule_matrix(
-    sched: ScheduleSpec, s: float | np.ndarray, derivative: bool = False
-) -> np.ndarray:
-    """H(s), or its exact dH/ds, as a new array; a stack of them for a 1-D array of s.
+def _terms(sched: ScheduleSpec, s: float | np.ndarray, derivative: bool = False) -> tuple:
+    """H(s), or dH/ds, as the coefficients (c_E, c_S, c_SS) of c_E E + c_S S + c_SS S^2 / n.
 
-    Each coefficient is written once into a zeroed array: the driver term at the
-    one-flip pairs, the H_AFF term at the two-flip pairs and the rest added on
-    the diagonal, where H_AFF contributes the identity. With lambda(s) = s the
-    non-stoquastic dH/ds carries lambda + s lambda' = 2s on H_P and 1 - 2s on
-    H_AFF. Entries equal the whole-matrix form's bit for bit: keep 1 - s - s,
-    since 1 - (s + s) rounds differently. Adding keeps +0.0 where s*E_m is
-    -0.0; LAPACK's reflectors follow the sign of zero, so the eigenvectors of
-    a degenerate level (E1 at s = 0) depend on it. The expressions are
-    element-wise in s, so each matrix of a stack equals the call at its s.
+    E is the problem diagonal, S = sum_i X_i and S^2 / n = H_AFF; c_SS is
+    None for the stoquastic driver. With lambda(s) = s the non-stoquastic
+    H(s) is s^2 E + (1-s) S + s(1-s) S^2 / n. Keep 1 - s - s in its dH/ds,
+    since 1 - (s + s) rounds differently. Element-wise in s, so an array of
+    s gives each point's coefficients bit for bit.
+    """
+    if sched.driver == STOQUASTIC:
+        return (1.0, -1.0, None) if derivative else (s, 1.0 - s, None)
+    if derivative:
+        return 2.0 * s, -1.0, 1.0 - s - s
+    return s * s, 1.0 - s, s * (1.0 - s)
+
+
+def schedule_matrix(sched: ScheduleSpec, s: float | np.ndarray) -> np.ndarray:
+    """H(s) as a new array; a stack of them for a 1-D array of s.
+
+    Each of its ``_terms`` is written once into a zeroed array: c_S at the
+    one-flip pairs, 2 c_SS / n at the two-flip pairs, and c_E E + c_SS, where
+    S^2 / n holds the identity, added on the diagonal. Adding keeps +0.0
+    where s*E_m is -0.0; LAPACK's reflectors follow the sign of zero, so the
+    eigenvectors of a degenerate level (E1 at s = 0) depend on it.
     """
     s = np.asarray(s, dtype=float)
     outside = s[~((0.0 <= s) & (s <= 1.0))]
     if outside.size:
         raise ValueError(f"schedule parameter s={outside[0]} outside [0, 1]")
-    col = s[..., None]  # broadcasts each s along its matrix's entries
-    outer, driver = (1.0, -1.0) if derivative else (col, 1.0 - col)
+    # Each s broadcasts along its matrix's entries.
+    c_e, c_s, c_ss = _terms(sched, s[..., None])
     dim = 1 << sched.n
     m = np.zeros(s.shape + (dim, dim))
     flat = m.reshape(s.shape + (-1,))
-    flat[..., _flip_indices(sched.n, 1)] = driver
-    if sched.driver == STOQUASTIC:
-        flat[..., :: dim + 1] += outer * sched.problem_diagonal
-        return m
-    s_dlam = col if derivative else 0.0
-    fluctuation = 1.0 - col - s_dlam
-    flat[..., _flip_indices(sched.n, 2)] = outer * (fluctuation * (2.0 / sched.n))
-    flat[..., :: dim + 1] += outer * (fluctuation + (col + s_dlam) * sched.problem_diagonal)
+    flat[..., _flip_indices(sched.n, 1)] = c_s
+    diagonal = c_e * sched.problem_diagonal
+    if c_ss is not None:
+        flat[..., _flip_indices(sched.n, 2)] = 2.0 * c_ss / sched.n
+        diagonal += c_ss
+    flat[..., :: dim + 1] += diagonal
     return m
 
 
@@ -195,42 +205,40 @@ def _low_flips(n: int) -> np.ndarray:
 
 
 def _flip_sum(block: np.ndarray) -> np.ndarray:
-    """S = sum_i X_i applied to each row of a (b, 2^n) block.
+    """S = sum_i X_i applied to each row of a (b, 2^n) block, or of each block of a stack.
 
-    The lowest spins' flips are one product with ``_low_flips``; every other
-    X_i is a strided view of the block.
+    The lowest spins' flips are one product with ``_low_flips`` per block,
+    so a block of a stack meets the same BLAS call as on its own; every
+    other X_i is a strided view of the block.
     """
-    b, dim = block.shape
+    dim = block.shape[-1]
     half = 1 << min(_LOW_SPINS, dim.bit_length() - 1)
-    total = (block.reshape(-1, half) @ _low_flips(half.bit_length() - 1)).reshape(b, dim)
+    low = _low_flips(half.bit_length() - 1)
+    total = (block.reshape(block.shape[:-2] + (-1, half)) @ low).reshape(block.shape)
     while half < dim:  # X_i swaps the two halves of every run of 2^(i+1) indices
-        view = total.reshape(b, -1, 2, half)
-        view += block.reshape(b, -1, 2, half)[:, :, ::-1]
+        view = total.reshape(-1, 2, half)
+        view += block.reshape(-1, 2, half)[:, ::-1]
         half <<= 1
     return total
 
 
 def _schedule_product(
-    sched: ScheduleSpec, s: float, block: np.ndarray, derivative: bool = False
+    sched: ScheduleSpec, s: float | np.ndarray, block: np.ndarray, derivative: bool = False
 ) -> np.ndarray:
-    """H(s), or dH/ds, applied to each row of a (b, 2^n) block without building the matrix.
+    """H(s), or dH/ds, applied to each row of a (b, 2^n) block without building a matrix.
 
-    H(s) V is s E V + (1-s) S V for the stoquastic driver and
-    s^2 E V + (1-s) S V + s(1-s)/n S(S V) for the non-stoquastic one, where E
-    is the problem diagonal and S = sum_i X_i; dH/ds takes the s-derivatives
-    of those coefficients. Equal to ``block @ schedule_matrix(sched, s,
-    derivative)`` up to rounding.
+    The ``_terms`` of s, with S applied by ``_flip_sum``: equal to
+    ``block @ schedule_matrix(sched, s)`` up to rounding. A 1-D array of s
+    takes a (len(s), b, 2^n) block, and each point's product equals the
+    call at its s bit for bit.
     """
-    if sched.driver == STOQUASTIC:
-        diagonal, flip, pair = (1.0, -1.0, 0.0) if derivative else (s, 1.0 - s, 0.0)
-    elif derivative:
-        diagonal, flip, pair = 2.0 * s, -1.0, 1.0 - s - s
-    else:
-        diagonal, flip, pair = s * s, 1.0 - s, s * (1.0 - s)
+    if isinstance(s, np.ndarray):
+        s = s[:, None, None]
+    c_e, c_s, c_ss = _terms(sched, s, derivative)
     once = _flip_sum(block)
-    product = (diagonal * sched.problem_diagonal) * block + flip * once
-    if pair:
-        product += (pair / sched.n) * _flip_sum(once)
+    product = (c_e * sched.problem_diagonal) * block + c_s * once
+    if c_ss is not None:
+        product += (c_ss / sched.n) * _flip_sum(once)
     return product
 
 

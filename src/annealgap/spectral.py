@@ -30,7 +30,9 @@ solve per point bit for bit. From 1024 up no matrix is built unless it must
 be: ``_krylov``, a block Lanczos on the matrix-free product of ``operators``,
 finds the kept levels on one thread and solves its small Ritz problems
 through ``_solve``. Only where it finds a degenerate pair, or does not
-converge, is the dense H(s) solved by ``_solve``.
+converge, is the dense H(s) solved by ``_solve``. At every dimension the
+element and the slope come from the same matrix-free dH/ds applied to E0's
+and E1's vectors; dH/ds is never a matrix.
 """
 
 from __future__ import annotations
@@ -156,12 +158,8 @@ def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
             if info or found.value != keep:
                 detail = f"dsyevr returned info={info} with {found.value} of {keep} levels"
                 raise _failure(point, detail)
-    # Columns of a C-ordered array, as eigh gives them: numpy's matmul then
-    # sums the dH/ds products in the same order, so an end point's element
-    # and slope equal eigh's bit for bit.
-    vectors = np.ascontiguousarray(v.swapaxes(1, 2))
     shape = matrix.shape[:-2]
-    return w[:, :keep].reshape(shape + (keep,)), vectors.reshape(shape + (dim, keep))
+    return w[:, :keep].reshape(shape + (keep,)), v.swapaxes(1, 2).reshape(shape + (dim, keep))
 
 
 def _start_block(dim: int) -> np.ndarray:
@@ -311,33 +309,25 @@ class HyperbolaFit:
 def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
     """Levels, |<E1| dH/ds |E0>|, ground weights and gap slope at one s or a 1-D block of s.
 
-    Below ``_KRYLOV_MIN_DIM`` a block is assembled as one stack, solved by
-    ``_solve``, and dH/ds is applied to the kept eigenvectors of all its
-    points at once. From that dimension up each point goes to ``_krylov``
-    first and to ``_solve`` where that returns None, and dH/ds is applied to
-    E0's and E1's vectors without a matrix. Nothing 2^n x 2^n outlives the
-    call, and from 1024 up none is built but the H(s) of a dense solve: at
-    n = 10, keeping a full eigenvector matrix or a dH/ds alive raised the
-    peak RSS by 8%.
+    Below ``_KRYLOV_MIN_DIM`` a block is assembled as one stack and solved by
+    ``_solve``. From that dimension up each point goes to ``_krylov`` first
+    and to ``_solve`` where that returns None. Either way dH/ds is applied to
+    E0's and E1's vectors without a matrix, for all points of the block at
+    once. Nothing 2^n x 2^n outlives the call, and from 1024 up none is
+    built but the H(s) of a dense solve: at n = 10, keeping a full
+    eigenvector matrix or a dH/ds alive raised the peak RSS by 8%.
     """
-    if 1 << sched.n >= _KRYLOV_MIN_DIM:
-        rows = []
-        for point in np.ravel(s).tolist():
-            found = _krylov(sched, point, keep)
-            w, v = found or _solve(schedule_matrix(sched, point), point, keep=keep)
-            pair = np.ascontiguousarray(v[:, :2].T)
-            products = pair @ _schedule_product(sched, point, pair, derivative=True).T
-            rows.append((w, abs(products[1, 0]), pair[0] ** 2, products[1, 1] - products[0, 0]))
-        if np.ndim(s) == 0:
-            return rows[0]
-        return tuple(map(np.array, zip(*rows)))
-    w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
-    v0, v1 = v[..., 0], v[..., 1]
-    dh = schedule_matrix(sched, s, derivative=True)
-    row = v1[..., None, :] @ dh
-    element = np.abs(row @ v0[..., None])[..., 0, 0]
-    slope = (row @ v1[..., None] - v0[..., None, :] @ dh @ v0[..., None])[..., 0, 0]
-    return w, element, v0 ** 2, slope
+    if 1 << sched.n < _KRYLOV_MIN_DIM:
+        w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
+    else:
+        found = (_krylov(sched, point, keep)
+                 or _solve(schedule_matrix(sched, point), point, keep=keep)
+                 for point in np.ravel(s).tolist())
+        w, v = (np.reshape(part, np.shape(s) + part[0].shape) for part in zip(*found))
+    pair = np.ascontiguousarray(v[..., :2].swapaxes(-1, -2))
+    products = pair @ _schedule_product(sched, s, pair, derivative=True).swapaxes(-1, -2)
+    slope = products[..., 1, 1] - products[..., 0, 0]
+    return w, np.abs(products[..., 1, 0]), pair[..., 0, :] ** 2, slope
 
 
 def _scan(sched: ScheduleSpec, grid: np.ndarray, keep: int) -> SpectralTrace:

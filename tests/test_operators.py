@@ -44,11 +44,16 @@ def driver_at_zero(n: int) -> np.ndarray:
     return schedule_matrix(ScheduleSpec(problem=IsingProblem(n=n)), 0.0)
 
 
+def derivative_matrix(sched: ScheduleSpec, s: float) -> np.ndarray:
+    """dH/ds as a matrix: the matrix-free product applied to the identity."""
+    return _schedule_product(sched, s, np.eye(1 << sched.n), derivative=True)
+
+
 def fluctuation_term(n: int) -> np.ndarray:
     """H_AFF, read off the engine: on a field-free non-stoquastic schedule
     H(0) = H_B and dH/ds(0) = H_AFF - H_B."""
     sched = ScheduleSpec(problem=IsingProblem(n=n), driver=NONSTOQUASTIC)
-    return schedule_matrix(sched, 0.0) + schedule_matrix(sched, 0.0, derivative=True)
+    return schedule_matrix(sched, 0.0) + derivative_matrix(sched, 0.0)
 
 
 def assert_close(got: np.ndarray, want: np.ndarray) -> None:
@@ -191,20 +196,20 @@ class TestHamiltonianAt:
 
 
 class TestDerivativeAt:
-    """dH/ds from ``schedule_matrix(..., derivative=True)``."""
+    """dH/ds from ``_schedule_product(..., derivative=True)``."""
 
     def test_stoquastic_constant(self, rng):
         sched = ScheduleSpec(problem=random_ising(rng, 3))
         expected = kron_problem(sched.problem) - kron_transverse(3)
-        first = schedule_matrix(sched, 0.0, derivative=True)
+        first = derivative_matrix(sched, 0.0)
         assert_close(first, expected)
         for s in (0.4, 1.0):
-            assert np.array_equal(schedule_matrix(sched, s, derivative=True), first)
+            assert np.array_equal(derivative_matrix(sched, s), first)
 
     def test_nonstoquastic_midpoint_drops_fluctuation_term(self, rng):
         sched = ScheduleSpec(problem=random_ising(rng, 3), driver=NONSTOQUASTIC)
         expected = kron_problem(sched.problem) - kron_transverse(3)
-        assert_close(schedule_matrix(sched, 0.5, derivative=True), expected)
+        assert_close(derivative_matrix(sched, 0.5), expected)
 
     @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
     def test_matches_central_difference(self, driver, rng):
@@ -212,13 +217,13 @@ class TestDerivativeAt:
         step = 1e-6
         for s in rng.uniform(0.01, 0.99, size=11):
             fd = (schedule_matrix(sched, s + step) - schedule_matrix(sched, s - step)) / (2 * step)
-            err = np.abs(schedule_matrix(sched, s, derivative=True) - fd).max()
+            err = np.abs(derivative_matrix(sched, s) - fd).max()
             assert err <= 1e-6
 
 
 class TestDenseReferenceProperty:
-    """``schedule_matrix`` against the Kronecker-product oracle of conftest,
-    which shares no index arithmetic with it."""
+    """``schedule_matrix`` and the dH/ds of ``_schedule_product`` against the
+    Kronecker-product oracle of conftest, which shares no index arithmetic with them."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -230,7 +235,18 @@ class TestDenseReferenceProperty:
         sched = ScheduleSpec(problem=problem, driver=driver)
         hamiltonian, derivative = kron_schedule(problem, driver, s)
         assert_close(schedule_matrix(sched, s), hamiltonian)
-        assert_close(schedule_matrix(sched, s, derivative=True), derivative)
+        assert_close(derivative_matrix(sched, s), derivative)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=ising_problems(), driver=st.sampled_from([STOQUASTIC, NONSTOQUASTIC]))
+    def test_schedule_ends_equal_the_oracle_bytes(self, problem, driver):
+        # Bytes, not values: every zero must be +0.0, even where 0 * E_m is
+        # -0.0, since eigh's pick within the degenerate E1 at s = 0 follows it.
+        sched = ScheduleSpec(problem=problem, driver=driver)
+        driver_part = kron_transverse(problem.n) + 0.0
+        problem_part = np.diag(sched.problem_diagonal) + 0.0
+        assert schedule_matrix(sched, 0.0).tobytes() == driver_part.tobytes()
+        assert schedule_matrix(sched, 1.0).tobytes() == problem_part.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -242,7 +258,8 @@ class TestDenseReferenceProperty:
         sched = ScheduleSpec(problem=problem, driver=driver)
         s = np.array([0.0, *interior, 1.0])
         hamiltonians = schedule_matrix(sched, s)
-        derivatives = schedule_matrix(sched, s, derivative=True)
+        identities = np.broadcast_to(np.eye(1 << problem.n), hamiltonians.shape)
+        derivatives = _schedule_product(sched, s, identities, derivative=True)
         for point, hamiltonian, derivative in zip(s, hamiltonians, derivatives):
             want_h, want_d = kron_schedule(problem, driver, point)
             assert_close(hamiltonian, want_h)
@@ -250,12 +267,16 @@ class TestDenseReferenceProperty:
 
 
 class TestMatrixFreeProduct:
-    """``_schedule_product`` against the product with ``schedule_matrix``, within 1e-12."""
+    """``_schedule_product`` against the product with ``schedule_matrix``, or with the
+    Kronecker oracle's dH/ds, within 1e-12."""
 
     @staticmethod
     def assert_product(sched: ScheduleSpec, s: float, rows: int, derivative: bool) -> None:
         block = np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 1 << sched.n))
-        want = block @ schedule_matrix(sched, s, derivative=derivative)
+        if derivative:
+            want = block @ kron_schedule(sched.problem, sched.driver, s)[1]
+        else:
+            want = block @ schedule_matrix(sched, s)
         got = _schedule_product(sched, s, block, derivative=derivative)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12
@@ -281,7 +302,8 @@ class TestMatrixFreeProduct:
 
 
 class TestScheduleMatrixStack:
-    """``schedule_matrix`` on a 1-D array of s against the call at each s."""
+    """``schedule_matrix`` and ``_schedule_product`` on a 1-D array of s against the
+    call at each s."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -293,12 +315,18 @@ class TestScheduleMatrixStack:
     def test_each_matrix_equals_the_scalar_call(self, problem, driver, interior, derivative):
         sched = ScheduleSpec(problem=problem, driver=driver)
         s = np.array([0.0, *interior, 1.0])
-        stack = schedule_matrix(sched, s, derivative=derivative)
+        stack = schedule_matrix(sched, s)
         assert stack.shape == (len(s), 1 << problem.n, 1 << problem.n)
-        for point, matrix in zip(s, stack):
+        blocks = np.random.default_rng(len(s)).uniform(-1.0, 1.0, (len(s), 2, 1 << problem.n))
+        products = _schedule_product(sched, s, blocks, derivative=derivative)
+        assert products.shape == blocks.shape
+        for point, matrix, block, product in zip(s, stack, blocks, products):
             # Bytes, not values: the sign of a zero entry steers LAPACK.
-            single = schedule_matrix(sched, float(point), derivative=derivative)
+            single = schedule_matrix(sched, float(point))
             assert matrix.tobytes() == single.tobytes()
+            # The scan's stacked products equal the one-point calls of a refinement.
+            single = _schedule_product(sched, float(point), block, derivative=derivative)
+            assert product.tobytes() == single.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -310,17 +338,14 @@ class TestScheduleMatrixStack:
             st.floats(min_value=1.0, exclude_min=True),
             st.just(float("nan")),
         ),
-        derivative=st.booleans(),
     )
-    def test_any_s_outside_the_schedule_rejected(
-        self, driver, inside, position, outside, derivative
-    ):
+    def test_any_s_outside_the_schedule_rejected(self, driver, inside, position, outside):
         sched = ScheduleSpec(problem=IsingProblem(n=2, J={(0, 1): 1.0}, h=(0.5, -0.5)),
                              driver=driver)
         inside.insert(min(position, len(inside)), outside)
         for s in (outside, np.array(inside)):
             with pytest.raises(ValueError, match="outside"):
-                schedule_matrix(sched, s, derivative=derivative)
+                schedule_matrix(sched, s)
 
 
 class TestScheduleSpec:
@@ -380,7 +405,6 @@ class TestScheduleSpec:
         diagonal = sched.problem_diagonal
         indices = (_flip_indices(3, 1), _flip_indices(3, 2))
         schedule_matrix(sched, 0.3)
-        schedule_matrix(sched, 0.3, derivative=True)
         assert _flip_indices(3, 1) is indices[0]
         assert _flip_indices(3, 2) is indices[1]
         assert indices[0].shape == indices[1].shape == (3 * 8,)
@@ -412,7 +436,7 @@ class TestScheduleMemory:
 
     def test_nothing_dense_outlives_assembly(self, sched, traced):
         hamiltonian = schedule_matrix(sched, 0.3)
-        derivative = schedule_matrix(sched, 0.3, derivative=True)
+        derivative = _schedule_product(sched, 0.3, np.ones((2, 1 << self.N)), derivative=True)
         del hamiltonian, derivative
         current, _ = tracemalloc.get_traced_memory()
         assert current < 1 << 20

@@ -43,8 +43,8 @@ from annealgap import (
 import annealgap
 from annealgap import _blas, cli, spectral
 from annealgap.cli import _sweep_cell
-from annealgap.operators import schedule_matrix
-from conftest import ising_problems, random_ising
+from annealgap.operators import _schedule_product, schedule_matrix
+from conftest import ising_problems, kron_schedule, random_ising
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,6 +74,17 @@ def two_level_gap(s: float) -> float:
 def two_level_element(s: float) -> float:
     """Closed-form |<E1| dH/ds |E0>| for the single-spin schedule."""
     return 1.0 / math.sqrt((1 - s) ** 2 + s * s)
+
+
+def kron_derivative(sched: ScheduleSpec, s: float) -> np.ndarray:
+    """dH/ds from the Kronecker-product oracle of conftest."""
+    return kron_schedule(sched.problem, sched.driver, s)[1]
+
+
+def product_derivative(sched: ScheduleSpec, s: float) -> np.ndarray:
+    """dH/ds as the matrix-free product applied to the identity: the oracle's
+    Kronecker products are slow from 9 spins up."""
+    return _schedule_product(sched, s, np.eye(1 << sched.n), derivative=True)
 
 
 class TestFullSpectrum:
@@ -320,13 +331,13 @@ class TestEpsilon:
         sched = two_level()
         for s in (0.1, 0.3, 0.5, 0.9):
             w, v = np.linalg.eigh(schedule_matrix(sched, s))
-            element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
+            element = abs(v[:, 1] @ kron_derivative(sched, s) @ v[:, 0])
             assert element == pytest.approx(two_level_element(s), abs=1e-12)
 
     def test_cauchy_schwarz_bound(self):
         sched = chain_schedule(0.04)
         got = epsilon(gap_trace(sched, 401))
-        norm = np.abs(np.linalg.eigvalsh(schedule_matrix(sched, 0.5, derivative=True))).max()
+        norm = np.abs(np.linalg.eigvalsh(kron_derivative(sched, 0.5))).max()
         assert got <= norm + 1e-9
 
     def test_chain_order_of_problem_scale(self):
@@ -696,7 +707,7 @@ class TestExtremaTrace:
 def slope_oracle(sched: ScheduleSpec, s: float) -> float:
     """<E1| dH/ds |E1> - <E0| dH/ds |E0> from numpy's full eigh at s."""
     _, v = np.linalg.eigh(schedule_matrix(sched, s))
-    dh = schedule_matrix(sched, s, derivative=True)
+    dh = kron_derivative(sched, s)
     return float(v[:, 1] @ dh @ v[:, 1] - v[:, 0] @ dh @ v[:, 0])
 
 
@@ -1207,7 +1218,9 @@ class TestBlockScanProperty:
         keep = trace.levels.shape[1]
         for i, s in enumerate(trace.grid):
             w, v = spectral._solve(schedule_matrix(sched, s), s, keep=keep)
-            element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
+            pair = np.ascontiguousarray(v[:, :2].T)
+            products = pair @ _schedule_product(sched, s, pair, derivative=True).T
+            element = abs(products[1, 0])
             assert np.array_equal(trace.levels[i], w)
             assert np.array_equal(trace.element[i], element)
             assert np.array_equal(trace.ground_weights[i], v[:, 0] ** 2)
@@ -1275,7 +1288,7 @@ class TestLowestLevels:
         for s in self.S_INTERIOR:
             i = int(np.flatnonzero(n9_trace.grid == s)[0])
             _, v = np.linalg.eigh(schedule_matrix(sched, s))
-            element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
+            element = abs(v[:, 1] @ product_derivative(sched, s) @ v[:, 0])
             assert np.abs(n9_trace.ground_weights[i] - v[:, 0] ** 2).max() <= 1e-10
             assert abs(n9_trace.element[i] - element) <= 1e-10
 
@@ -1318,7 +1331,7 @@ class TestKeptLevels:
             assert np.abs(trace.levels[i] - w[:levels]).max() <= 1e-11
             assert np.abs(trace.ground_weights[i] - v[:, 0] ** 2).max() <= 1e-10
             if s > 0.0:  # at s = 0 E1 is degenerate and the element depends on its vector
-                element = abs(v[:, 1] @ schedule_matrix(sched, s, derivative=True) @ v[:, 0])
+                element = abs(v[:, 1] @ kron_derivative(sched, s) @ v[:, 0])
                 assert abs(trace.element[i] - element) <= 1e-10
 
     @pytest.mark.parametrize("sched", [chain_schedule(0.04), random_schedule(6), tied_schedule()],
@@ -1419,13 +1432,13 @@ class TestKeptLevels:
 
 @pytest.fixture
 def large_solves(syevr, monkeypatch):
-    """The s of each H(s) or dH/ds ``_solve_points`` assembles, and how many 1024-wide dsyevr
-    solves run while the test runs."""
+    """The s of each H(s) ``_solve_points`` assembles, and how many 1024-wide dsyevr solves
+    run while the test runs."""
     seen = {"assembled": [], "dsyevr": 0}
 
-    def assemble(sched, s, derivative=False, _original=schedule_matrix):
-        seen["assembled"].extend((point, derivative) for point in np.ravel(s).tolist())
-        return _original(sched, s, derivative)
+    def assemble(sched, s, _original=schedule_matrix):
+        seen["assembled"].extend(np.ravel(s).tolist())
+        return _original(sched, s)
 
     def dsyevr(*args):
         seen["dsyevr"] += args[4] == 1024  # N, the order of the matrix
@@ -1438,18 +1451,16 @@ def large_solves(syevr, monkeypatch):
 
 
 def dense_path_trace(monkeypatch, sched: ScheduleSpec, grid: int, levels: int) -> SpectralTrace:
-    """``gap_trace`` with every point solved by ``_solve`` and a dense dH/ds, as below 1024."""
+    """``gap_trace`` with every point solved by ``_solve`` on a stack, as below 1024."""
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_KRYLOV_MIN_DIM", 2 << sched.n)
         return gap_trace(sched, grid, levels)
 
 
 def assert_same_trace(trace: SpectralTrace, reference: SpectralTrace) -> None:
-    """Levels and weights bit for bit; element and slope, from another dH/ds product, to 1e-12."""
-    assert np.array_equal(trace.levels, reference.levels)
-    assert np.array_equal(trace.ground_weights, reference.ground_weights)
-    for name in ("element", "slope"):
-        assert np.abs(getattr(trace, name) - getattr(reference, name)).max() <= 1e-12
+    """Levels, weights, element and slope bit for bit."""
+    for name in ("levels", "ground_weights", "element", "slope"):
+        assert np.array_equal(getattr(trace, name), getattr(reference, name))
 
 
 class TestKrylov:
@@ -1466,7 +1477,7 @@ class TestKrylov:
             assert np.abs(trace.levels[i] - w[:6]).max() <= 1e-11
             assert np.abs(trace.ground_weights[i] - v[:, 0] ** 2).max() <= 1e-10
             if s > 0.0:  # at s = 0 E1 is degenerate and the element depends on its vector
-                dh = schedule_matrix(sched, s, derivative=True)
+                dh = product_derivative(sched, s)
                 assert abs(trace.element[i] - abs(v[:, 1] @ dh @ v[:, 0])) <= 1e-10
                 slope = v[:, 1] @ dh @ v[:, 1] - v[:, 0] @ dh @ v[:, 0]
                 assert abs(trace.slope[i] - slope) <= 1e-10
@@ -1476,8 +1487,8 @@ class TestKrylov:
         min_gap(trace, s_tol=1e-3)
         epsilon(trace)
         # E1 of the driver is 10-fold degenerate at s = 0; every other point
-        # converges, and no point builds a dense dH/ds.
-        assert large_solves == {"assembled": [(0.0, False)], "dsyevr": 1}
+        # converges.
+        assert large_solves == {"assembled": [0.0], "dsyevr": 1}
 
     @pytest.mark.parametrize("fields", [(0.5,) * 10, (0.3, 0.3, 0.41, 0.53, 0.62, 0.75, 0.87,
                                                       0.99, 1.13, 1.27)], ids=["all", "one-pair"])
@@ -1548,7 +1559,7 @@ class TestLapackeFailure:
         path = tmp_path / "n9.json"
         save_problem(dense_n9().problem, path)
 
-        def nan_hamiltonian(sched, s, derivative=False):
+        def nan_hamiltonian(sched, s):
             return np.full((1 << sched.n,) * 2, np.nan)
 
         monkeypatch.setattr(spectral, "schedule_matrix", nan_hamiltonian)
