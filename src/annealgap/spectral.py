@@ -20,19 +20,19 @@ separation); the margin keeps those out of reports while leaving genuine
 anti-crossings, which undercut the final gap by factors of 10 to 10^4,
 untouched.
 
+``_end`` writes s = 1 and, above ``SERIAL_BLAS_MAX_DIM``, s = 0 in closed form.
 Every dense eigensolve goes through ``_solve``, one matrix at a time on the
 OpenBLAS threads ``_blas`` grants it: LAPACK's ``dsyevr`` for the kept levels,
-numpy's ``eigh`` at s = 0 and s = 1 up to ``SERIAL_BLAS_MAX_DIM`` and wherever
-numpy bundles no ``dsyevr``. Below dimension 1024 a scan assembles blocks of
-grid points as stacks, which up to ``SERIAL_BLAS_MAX_DIM`` a pool of one
-thread per usable core takes one at a time; its results equal those of one
-solve per point bit for bit. From 1024 up no matrix is built unless it must
-be: ``_krylov``, a block Lanczos on the matrix-free product of ``operators``,
-finds the kept levels on one thread and solves its small Ritz problems
-through ``_solve``. Only where it finds a degenerate pair, or does not
-converge, is the dense H(s) solved by ``_solve``. At every dimension the
-element and the slope come from the same matrix-free dH/ds applied to E0's
-and E1's vectors; dH/ds is never a matrix.
+numpy's ``eigh`` at s = 0 up to ``SERIAL_BLAS_MAX_DIM`` and wherever numpy
+bundles no ``dsyevr``. Below dimension 1024 a scan assembles blocks of grid
+points as stacks, which up to ``SERIAL_BLAS_MAX_DIM`` a pool of one thread per
+usable core takes one at a time, bit for bit as one solve per point. From
+1024 up no matrix is built unless it must be: ``_krylov``, a block Lanczos on
+the matrix-free product of ``operators``, finds the kept levels on one thread
+and solves its small Ritz problems through ``_solve``. Only where it finds a
+degenerate pair, or does not converge, is the dense H(s) solved by ``_solve``.
+At every dimension the element and the slope come from the same matrix-free
+dH/ds applied to E0's and E1's vectors; dH/ds is never a matrix.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import _blas
 from ._blas import SERIAL_BLAS_MAX_DIM
-from .operators import ScheduleSpec, _schedule_product, schedule_matrix
+from .operators import ScheduleSpec, _schedule_product, _sigma_table, schedule_matrix
 from .problems import _finite, _integer
 
 #: Two ascending levels closer than this, relative to max(1, max |level|) at
@@ -114,16 +114,16 @@ def _degenerate(spacing: np.ndarray, levels: np.ndarray) -> np.ndarray:
 def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
     """The ``keep`` lowest levels, with eigenvectors as columns, of a matrix or a stack at ``s``.
 
-    The one call into LAPACK: a dense H(s), or the Ritz problem of
-    ``_krylov`` at its s. Each matrix is solved once, on the OpenBLAS threads
-    ``_blas`` grants its dimension, by LAPACK's dsyevr, which computes only
-    the levels asked for and overwrites the matrix. numpy's ``eigh`` solves
-    it instead where no bundled dsyevr exists, and up to
-    ``SERIAL_BLAS_MAX_DIM`` at s = 0 or s = 1, so those ends keep the
-    vectors a full solve gives: there H is the driver, whose E1 is n-fold
-    degenerate, or the diagonal problem, whose energies may tie. Anywhere in
-    between a degeneracy takes a symmetry (von Neumann and Wigner, 1929),
-    and dsyevr's pick within it stands. The first failing matrix raises
+    The one call into LAPACK: a dense H(s), the Ritz problem of ``_krylov``
+    at its s, or the coupling matrix of ``_end`` at s = 0. Each matrix is
+    solved once, on the OpenBLAS threads ``_blas`` grants its dimension, by
+    LAPACK's dsyevr, which computes only the levels asked for and overwrites
+    the matrix. numpy's ``eigh`` solves it instead where no bundled dsyevr
+    exists, and up to ``SERIAL_BLAS_MAX_DIM`` at s = 0, so that end keeps
+    the vectors a full solve gives within the driver's n-fold E1: the
+    chain's stoquastic ``epsilon`` is that pick's. Anywhere in between a
+    degeneracy takes a symmetry (von Neumann and Wigner, 1929), and
+    dsyevr's pick within it stands. The first failing matrix raises
     EigensolverError naming its own entry of ``s``.
     """
     dim = matrix.shape[-1]
@@ -140,7 +140,7 @@ def _solve(matrix: np.ndarray, s: float | np.ndarray, *, keep: int):
         support_ptr = support.ctypes.data
     with _blas.threads(dim):
         for i, point in enumerate(np.ravel(s).tolist()):
-            if syevr is None or (dim <= SERIAL_BLAS_MAX_DIM and point in (0.0, 1.0)):
+            if syevr is None or (dim <= SERIAL_BLAS_MAX_DIM and point == 0.0):
                 try:
                     levels, vectors = np.linalg.eigh(stack[i])
                 except np.linalg.LinAlgError as exc:
@@ -212,8 +212,8 @@ def _krylov(sched: ScheduleSpec, s: float, keep: int):
 
     None, for a dense solve, where two of the keep + 1 converged levels are
     ``_degenerate`` (a block of 2 shows every level of multiplicity 2 or more
-    at least twice: so E1 of the driver at s = 0 falls back), where the
-    residual block loses rank and where the basis reaches _KRYLOV_BASIS vectors.
+    at least twice: the driver's E1 at s = 0, where ``_end`` declines it),
+    where the residual block loses rank and where the basis reaches _KRYLOV_BASIS vectors.
     """
     dim = 1 << sched.n
     if keep + 1 > _KRYLOV_BASIS:
@@ -306,25 +306,55 @@ class HyperbolaFit:
     points: int
 
 
+def _end(sched: ScheduleSpec, s: float, keep: int):
+    """The ``keep`` lowest levels of H(s) and the rows E0, E1 at a schedule end, or None.
+
+    s = 1: the problem diagonal, with unit vectors in ``overlap_trace``'s order.
+    s = 0 above SERIAL_BLAS_MAX_DIM: S = sum_i X_i, levels -n + 2j C(n, j)-fold,
+    E0 (-1)^popcount(m) / sqrt(2^n). E1, spanned by the Z_i |E0>, splits as H_P
+    acts within it, as offset I + J (Amin & Choi, PRA 80, 062326, 2009): its
+    branch is sum_i u_i Z_i |E0>, u the lowest eigenvector there, if not ``_degenerate``.
+    """
+    dim = 1 << sched.n
+    if s == 1.0:
+        order = np.argsort(sched.problem_diagonal, kind="stable")[:keep]
+        return sched.problem_diagonal[order], (order[:2, None] == np.arange(dim)).astype(float)
+    if s != 0.0 or dim <= SERIAL_BLAS_MAX_DIM:
+        return None
+    sigma = _sigma_table(sched.n)  # <E0| Z_i H_P Z_j |E0> = sum_m sigma_i sigma_j E_m / 2^n
+    w, u = _solve(sigma.T @ (sched.problem_diagonal[:, None] * sigma) / dim, s, keep=2)
+    if _degenerate(w[1] - w[0], w):
+        return None
+    ground = sigma.prod(axis=1) / math.sqrt(dim)  # S is sum_i sigma_i in the X basis
+    return np.sort(sigma.sum(axis=1))[:keep], np.stack([ground, ground * (sigma @ u[:, 0])])
+
+
 def _solve_points(sched: ScheduleSpec, s: float | np.ndarray, keep: int):
     """Levels, |<E1| dH/ds |E0>|, ground weights and gap slope at one s or a 1-D block of s.
 
-    Below ``_KRYLOV_MIN_DIM`` a block is assembled as one stack and solved by
-    ``_solve``. From that dimension up each point goes to ``_krylov`` first
-    and to ``_solve`` where that returns None. Either way dH/ds is applied to
-    E0's and E1's vectors without a matrix, for all points of the block at
-    once. Nothing 2^n x 2^n outlives the call, and from 1024 up none is
-    built but the H(s) of a dense solve: at n = 10, keeping a full
+    ``_end`` gives the ends it can. Below ``_KRYLOV_MIN_DIM`` the other points
+    are solved by ``_solve`` as one stack; from there up by ``_krylov``, or by
+    ``_solve`` where that returns None. Then dH/ds is applied to E0's and E1's
+    vectors without a matrix. Nothing 2^n x 2^n outlives the call, and from 1024
+    up none is built but the H(s) of a dense solve: at n = 10, keeping a full
     eigenvector matrix or a dH/ds alive raised the peak RSS by 8%.
     """
-    if 1 << sched.n < _KRYLOV_MIN_DIM:
-        w, v = _solve(schedule_matrix(sched, s), s, keep=keep)
-    else:
-        found = (_krylov(sched, point, keep)
-                 or _solve(schedule_matrix(sched, point), point, keep=keep)
-                 for point in np.ravel(s).tolist())
-        w, v = (np.reshape(part, np.shape(s) + part[0].shape) for part in zip(*found))
-    pair = np.ascontiguousarray(v[..., :2].swapaxes(-1, -2))
+    points = np.ravel(s).tolist()
+    ends = [_end(sched, point, keep) for point in points]
+    w, pair = np.empty((len(points), keep)), np.empty((len(points), 2, 1 << sched.n))
+    for i, end in enumerate(ends):
+        if end is not None:
+            w[i], pair[i] = end
+    rest = [i for i, end in enumerate(ends) if end is None]
+    inner = [points[i] for i in rest]
+    if 1 << sched.n >= _KRYLOV_MIN_DIM:
+        for i, x in zip(rest, inner):
+            w[i], v = _krylov(sched, x, keep) or _solve(schedule_matrix(sched, x), x, keep=keep)
+            pair[i] = v[:, :2].T
+    elif rest:
+        w[rest], v = _solve(schedule_matrix(sched, inner), inner, keep=keep)
+        pair[rest] = v[..., :2].swapaxes(-1, -2)
+    w, pair = (w, pair) if np.ndim(s) else (w[0], pair[0])
     products = pair @ _schedule_product(sched, s, pair, derivative=True).swapaxes(-1, -2)
     slope = products[..., 1, 1] - products[..., 0, 0]
     return w, np.abs(products[..., 1, 0]), pair[..., 0, :] ** 2, slope

@@ -583,8 +583,9 @@ class TestSingleScan:
 
     def test_consumers_read_the_trace(self, solve_counts):
         trace = gap_trace(chain_schedule(0.04), self.GRID)
-        # eigh solves s = 0 and s = 1, dsyevr the 6 levels everywhere else.
-        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2)
+        # eigh solves s = 0, dsyevr the 6 levels everywhere else but s = 1,
+        # whose levels and vectors are the problem diagonal's.
+        assert solve_counts == solves(eigh=1, dsyevr=self.GRID - 2)
         solve_counts.update(eigh=0, dsyevr=0)
         min_gap(trace, s_tol=self.S_TOL)
         assert solve_counts == solves(dsyevr=self.REFINE)
@@ -599,14 +600,15 @@ class TestSingleScan:
         rc = cli.main(["analyze", "--problem", str(path), "--grid", str(self.GRID),
                        "--s-tol", str(self.S_TOL), "--out", str(tmp_path / "run_")])
         assert rc == 0
-        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2 + self.SEARCH + self.REFINE)
+        assert solve_counts == solves(eigh=1, dsyevr=self.GRID - 2 + self.SEARCH + self.REFINE)
 
     def test_sweep_cell_solve_counts(self, solve_counts):
-        # Two levels throughout; eigh solves s = 0 and s = 1, dsyevr the 49
-        # other points of the coarse pass (every second grid point), the 4
-        # odd points its grid search adds (1, 35, 37 and 75) and the rest.
+        # Two levels throughout; eigh solves s = 0, dsyevr the 49 inner points
+        # of the coarse pass (every second grid point), the 4 odd points its
+        # grid search adds (1, 35, 37 and 75) and the rest. s = 1 is solved by
+        # no one.
         _sweep_cell(0.04, "stoquastic", self.GRID, self.S_TOL)
-        assert solve_counts == solves(eigh=2, dsyevr=49 + 4 + self.SEARCH + self.REFINE)
+        assert solve_counts == solves(eigh=1, dsyevr=49 + 4 + self.SEARCH + self.REFINE)
 
 
 def sweep_schedule(delta_b: float, method: str) -> ScheduleSpec:
@@ -669,8 +671,8 @@ class TestExtremaTrace:
         for delta_b in (0.01, 0.04):
             for method in cli.SWEEP_METHODS:
                 _sweep_cell(delta_b, method, 2001, 1e-6)
-        # Full scans of the same cells take 28 + 28,100.
-        assert solve_counts == solves(eigh=28, dsyevr=1150)
+        # Full scans of the same cells take 14 + 28,100.
+        assert solve_counts == solves(eigh=14, dsyevr=1150)
 
     def test_dip_behind_a_shallower_coarse_minimum(self, monkeypatch):
         # On 2001 points the coarse pass sees every 40th. A broad V has its
@@ -695,7 +697,7 @@ class TestExtremaTrace:
     def test_coarse_pass_covers_a_short_grid(self, solve_counts):
         trace = spectral._extrema_trace(chain_schedule(0.04), 51, 2)
         assert np.array_equal(trace.grid, np.linspace(0.0, 1.0, 51))
-        assert solve_counts == solves(eigh=2, dsyevr=49)
+        assert solve_counts == solves(eigh=1, dsyevr=49)
 
     def test_sizes_checked_like_gap_trace(self):
         with pytest.raises(ValueError, match="grid must hold at least 2 points, got 1"):
@@ -966,7 +968,8 @@ class TestSerialBlas:
     def test_large_dimension_keeps_library_count(self, blas_threads):
         startup, seen = blas_threads
         min_gap(gap_trace(random_schedule(9), 3), s_tol=1e-2)
-        assert len(seen) > 3 and set(seen) == {startup}
+        # First the 9 x 9 coupling matrix of the closed form at s = 0.
+        assert seen[0] == 1 and len(seen) > 3 and set(seen[1:]) == {startup}
 
     def test_count_restored_after_failed_scan(self, blas_threads, fail_solves):
         startup, seen = blas_threads
@@ -1217,7 +1220,14 @@ class TestBlockScanProperty:
             trace = gap_trace(sched, grid)
         keep = trace.levels.shape[1]
         for i, s in enumerate(trace.grid):
-            w, v = spectral._solve(schedule_matrix(sched, s), s, keep=keep)
+            # At s = 1 the scan reads the problem diagonal: its entries, with unit
+            # vectors in stable order. (numpy's eigh agrees, but for entries so
+            # small that LAPACK rescales the matrix and rounds them.)
+            if s == 1.0:
+                order = np.argsort(sched.problem_diagonal, kind="stable")[:keep]
+                w, v = sched.problem_diagonal[order], np.eye(1 << sched.n)[:, order]
+            else:
+                w, v = spectral._solve(schedule_matrix(sched, s), s, keep=keep)
             pair = np.ascontiguousarray(v[:, :2].T)
             products = pair @ _schedule_product(sched, s, pair, derivative=True).T
             element = abs(products[1, 0])
@@ -1272,8 +1282,9 @@ class TestLowestLevels:
         trace = gap_trace(dense_n9(), 3)
         refine = min_gap(trace, s_tol=1e-2)
         assert refine.delta_min <= trace.gap.min()
-        # dsyevr's pick within the degenerate E1 at s = 0 stands above dimension 256.
-        assert solve_counts["eigh"] == solve_counts["eigvalsh"] == 0
+        # Above dimension 256 both ends have closed forms: numpy's eigh sees
+        # only the 9 x 9 coupling matrix at s = 0, dsyevr every H(s).
+        assert solve_counts["eigh"] == 1 and solve_counts["eigvalsh"] == 0
         assert solve_counts["dsyevr"] > 3
 
     def test_levels_and_gap_match_eigh(self, syevr, n9_trace):
@@ -1325,7 +1336,7 @@ class TestKeptLevels:
     def test_random_problems_match_eigh(self, syevr, solve_counts, n, levels):
         sched = ScheduleSpec(problem=random_ising(np.random.default_rng(n), n))
         trace = gap_trace(sched, self.GRID, levels)
-        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2)
+        assert solve_counts == solves(eigh=1, dsyevr=self.GRID - 2)
         for i, s in enumerate(trace.grid):
             w, v = np.linalg.eigh(schedule_matrix(sched, s))
             assert np.abs(trace.levels[i] - w[:levels]).max() <= 1e-11
@@ -1338,8 +1349,9 @@ class TestKeptLevels:
                              ids=["dim32", "dim64", "tied-at-s1"])
     def test_degenerate_e1_keeps_eigh_vectors(self, syevr, solve_counts, monkeypatch, sched):
         trace = gap_trace(sched, self.GRID, levels=2)
-        # eigh solves s = 0 and s = 1, where E1 may be degenerate; dsyevr the rest.
-        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2)
+        # eigh solves s = 0, where E1 is degenerate, and dsyevr the inner
+        # points; s = 1, where E1 may be, takes the problem diagonal's order.
+        assert solve_counts == solves(eigh=1, dsyevr=self.GRID - 2)
         monkeypatch.setattr(_blas, "SYEVR", None)
         reference = gap_trace(sched, self.GRID, levels=2)
         for i in (0, -1):
@@ -1360,7 +1372,7 @@ class TestKeptLevels:
             return syevr(*args)
 
         def eigh(a, _original=np.linalg.eigh):
-            by_eigh.extend(np.reshape(a, (-1, dim, dim)).copy())
+            by_eigh.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]).copy())
             return _original(a)
 
         dsyevr.restype = syevr.restype
@@ -1368,23 +1380,26 @@ class TestKeptLevels:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         gap_trace(sched, self.GRID, levels=2)
         assert asked == [2] * len(by_dsyevr)
+        # s = 1 is solved by no one, every inner point by dsyevr once.
+        ends = [schedule_matrix(sched, 0.0), schedule_matrix(sched, 1.0)]
+        assert len(by_dsyevr) == self.GRID - 2
+        assert not any(np.array_equal(a, end) for a in by_dsyevr for end in ends)
         if dim > _blas.SERIAL_BLAS_MAX_DIM:
-            assert len(by_dsyevr) == self.GRID and not by_eigh
+            # s = 0 has its closed form, which solves H_P within E1: offset I + J.
+            coupling = sched.problem.offset * np.eye(sched.n)
+            for (i, j), value in sched.problem.J.items():
+                coupling[i, j] = coupling[j, i] = value
+            assert len(by_eigh) == 1 and np.abs(by_eigh[0] - coupling).max() <= 1e-13
         else:
-            # s = 0 and s = 1 go to eigh once each, every other point to dsyevr.
-            ends = [schedule_matrix(sched, 0.0), schedule_matrix(sched, 1.0)]
-            assert len(by_dsyevr) == self.GRID - 2
-            assert not any(np.array_equal(a, end) for a in by_dsyevr for end in ends)
-            # Two pool threads may reach s = 1 first.
-            assert len(by_eigh) == 2
-            assert all(any(np.array_equal(a, end) for a in by_eigh) for end in ends)
+            assert len(by_eigh) == 1 and np.array_equal(by_eigh[0], ends[0])
 
     def test_interior_symmetric_degeneracy_keeps_dsyevr_vectors(self, syevr, solve_counts,
                                                                   monkeypatch):
         sched = free_spins_schedule()
         trace = gap_trace(sched, self.GRID, levels=2)
-        # E1 = E2 at every point, but eigh solves only s = 0 and s = 1.
-        assert solve_counts == solves(eigh=2, dsyevr=self.GRID - 2)
+        # E1 = E2 at every point, but eigh solves only s = 0, and s = 1 is the
+        # problem diagonal's.
+        assert solve_counts == solves(eigh=1, dsyevr=self.GRID - 2)
         monkeypatch.setattr(_blas, "SYEVR", None)
         reference = gap_trace(sched, self.GRID, levels=2)
         assert np.abs(trace.levels - reference.levels).max() <= 1e-11
@@ -1482,13 +1497,12 @@ class TestKrylov:
                 slope = v[:, 1] @ dh @ v[:, 1] - v[:, 0] @ dh @ v[:, 0]
                 assert abs(trace.slope[i] - slope) <= 1e-10
 
-    def test_only_s0_is_solved_dense(self, large_solves):
+    def test_nothing_is_solved_dense(self, large_solves):
         trace = gap_trace(dense_n10(), self.GRID)
         min_gap(trace, s_tol=1e-3)
         epsilon(trace)
-        # E1 of the driver is 10-fold degenerate at s = 0; every other point
-        # converges.
-        assert large_solves == {"assembled": [0.0], "dsyevr": 1}
+        # Both ends have closed forms; every other point converges.
+        assert large_solves == {"assembled": [], "dsyevr": 0}
 
     @pytest.mark.parametrize("fields", [(0.5,) * 10, (0.3, 0.3, 0.41, 0.53, 0.62, 0.75, 0.87,
                                                       0.99, 1.13, 1.27)], ids=["all", "one-pair"])
@@ -1497,7 +1511,8 @@ class TestKrylov:
         # (the residual block loses rank) and 2-fold when two are (a degenerate Ritz pair).
         sched = ScheduleSpec(problem=IsingProblem(n=10, h=fields))
         trace = gap_trace(sched, self.GRID, levels=2)
-        assert large_solves["dsyevr"] == self.GRID
+        # J = 0 is degenerate, so s = 0 falls back too; s = 1 has its closed form.
+        assert large_solves["dsyevr"] == self.GRID - 1
         assert_same_trace(trace, dense_path_trace(monkeypatch, sched, self.GRID, 2))
 
     @pytest.mark.parametrize("basis", [4, 8])
@@ -1505,14 +1520,75 @@ class TestKrylov:
         # 4 cannot hold the 7 Ritz pairs of 6 levels; 8 holds them, unconverged.
         monkeypatch.setattr(spectral, "_KRYLOV_BASIS", basis)
         trace = gap_trace(dense_n10(), 3)
-        assert large_solves["dsyevr"] == 3
+        assert large_solves["dsyevr"] == 1  # s = 0.5; both ends have closed forms
         assert_same_trace(trace, dense_path_trace(monkeypatch, dense_n10(), 3, 6))
 
     def test_ritz_problems_solve_on_one_thread(self, blas_threads):
         startup, seen = blas_threads
         gap_trace(dense_n10(), 3)
-        # s = 0 goes to dsyevr on the library's threads; each Ritz problem after it on one.
-        assert seen[0] == startup and len(seen) > 2 and set(seen[1:]) == {1}
+        # The coupling matrix of the closed form at s = 0, then each Ritz problem, on one.
+        assert len(seen) > 2 and set(seen) == {1}
+
+
+def random_schedules(max_n: int) -> list:
+    """The seeded ``random_ising`` problem of each size from 1 to ``max_n`` spins."""
+    return [ScheduleSpec(problem=random_ising(np.random.default_rng(n), n))
+            for n in range(1, max_n + 1)]
+
+
+class TestScheduleEnds:
+    """The closed forms of ``_end``: s = 1 at every size, s = 0 above dimension 256."""
+
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    @pytest.mark.parametrize("sched", [chain_schedule(0.04), tied_schedule(), *random_schedules(8)],
+                             ids=["chain", "tied-at-s1", *(f"n{n}" for n in range(1, 9))])
+    def test_s1_equals_eigh(self, sched, driver):
+        sched = ScheduleSpec(problem=sched.problem, driver=driver)
+        keep = min(6, 1 << sched.n)
+        w, v = np.linalg.eigh(schedule_matrix(sched, 1.0))
+        pair = np.ascontiguousarray(v[:, :2].T)
+        products = pair @ _schedule_product(sched, 1.0, pair, derivative=True).T
+        want = (w[:keep], abs(products[1, 0]), pair[0] ** 2, products[1, 1] - products[0, 0])
+        trace = gap_trace(sched, 3, keep)
+        last = (trace.levels[-1], trace.element[-1], trace.ground_weights[-1], trace.slope[-1])
+        for got in (spectral._solve_points(sched, 1.0, keep), last):
+            for name, a, b in zip(("levels", "element", "weights", "slope"), got, want):
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_s0_levels_and_weights_are_exact(self, n, driver):
+        sched = ScheduleSpec(problem=random_ising(np.random.default_rng(n), n), driver=driver)
+        assert spectral._end(sched, 0.0, n + 2) is not None
+        levels, _, weights, _ = spectral._solve_points(sched, 0.0, n + 2)
+        assert np.array_equal(levels, [-n] + [2 - n] * n + [4 - n])
+        # 2^-n; at n = 9 the square of the rounded 1 / sqrt(512), one ulp from it.
+        assert np.all(weights == weights[0])
+        assert abs(weights[0] - 2.0 ** -n) <= np.spacing(2.0 ** -n) * (n % 2)
+
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_s0_element_and_slope_continue_into_the_schedule(self, n, driver):
+        # A dense solve's pick within the n-fold E1 at s = 0 sets any element up
+        # to the norm of the level's; the branch E1 follows sets the limit from s > 0.
+        sched = ScheduleSpec(problem=random_ising(np.random.default_rng(n), n), driver=driver)
+        _, element, _, slope = spectral._solve_points(sched, 0.0, 2)
+        _, near_element, _, near_slope = spectral._solve_points(sched, 1e-7, 2)
+        assert abs(element - near_element) <= 1e-6
+        assert abs(slope - near_slope) <= 1e-6
+        if driver == NONSTOQUASTIC:
+            # dH/ds = -S + S^2 / n at s = 0 keeps every X eigenstate: no element.
+            assert element <= 1e-14
+
+    @pytest.mark.parametrize("driver", ["stoq", "nonstoq"])
+    def test_dense_n10_analyze_builds_no_matrix(self, tmp_path, monkeypatch, driver):
+        path = tmp_path / "n10.json"
+        save_problem(dense_n10().problem, path)
+        calls = []
+        monkeypatch.setattr(spectral, "schedule_matrix", lambda *args: calls.append(args))
+        rc = cli.main(["analyze", "--problem", str(path), "--driver", driver, "--grid", "21",
+                       "--out", str(tmp_path / "n10_")])
+        assert rc == 0 and calls == []
 
 
 class TestLapackeHandle:
@@ -1566,7 +1642,8 @@ class TestLapackeFailure:
         rc = cli.main(["analyze", "--problem", str(path), "--grid", "3",
                        "--out", str(tmp_path / "n9_")])
         assert rc == 3
-        assert "at s=0.0: dsyevr returned info=-6" in capsys.readouterr().err
+        # s = 0 and s = 1 have closed forms above dimension 256: s = 0.5 is the first H(s).
+        assert "at s=0.5: dsyevr returned info=-6" in capsys.readouterr().err
         assert not (tmp_path / "n9_report.json").exists()
 
 
