@@ -322,7 +322,7 @@ def _end(sched: ScheduleSpec, s: float, keep: int):
     if s != 0.0 or dim <= SERIAL_BLAS_MAX_DIM:
         return None
     sigma = _sigma_table(sched.n)  # <E0| Z_i H_P Z_j |E0> = sum_m sigma_i sigma_j E_m / 2^n
-    w, u = _solve(sigma.T @ (sched.problem_diagonal[:, None] * sigma) / dim, s, keep=2)
+    w, u = _solve(sigma.T @ (sched.problem_diagonal[:, None] / dim * sigma), s, keep=2)
     if _degenerate(w[1] - w[0], w):
         return None
     ground = sigma.prod(axis=1) / math.sqrt(dim)  # S is sum_i sigma_i in the X basis

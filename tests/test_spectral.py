@@ -1580,6 +1580,14 @@ class TestScheduleEnds:
             # dH/ds = -S + S^2 / n at s = 0 keeps every X eigenstate: no element.
             assert element <= 1e-14
 
+    def test_s0_energies_near_the_float_maximum(self):
+        # H_P within E1 averages the energies over 2^n states: summed first, they overflow.
+        sched = ScheduleSpec(problem=IsingProblem(n=9, J={(0, 1): 1.0, (1, 2): 0.5},
+                                                  h=(1e306,) * 9))
+        levels, element, weights, slope = spectral._solve_points(sched, 0.0, 2)
+        assert np.array_equal(levels, [-9.0, -7.0]) and np.all(weights == weights[0])
+        assert math.isfinite(element) and math.isfinite(slope)
+
     @pytest.mark.parametrize("driver", ["stoq", "nonstoq"])
     def test_dense_n10_analyze_builds_no_matrix(self, tmp_path, monkeypatch, driver):
         path = tmp_path / "n10.json"
