@@ -128,9 +128,9 @@ class ScheduleSpec:
                                      f"{'non-' * nonstoq}stoquastic dH/ds, whose diagonal "
                                      f"holds {'2s ' * nonstoq}E, in the gap slope")
         # E1 - E0 of H_P is the gap at s = 1, and the gap slope there is that
-        # spread times the factor.
+        # spread times the factor; inside the schedule it may round as far above.
         low, next_low = sorted(self.problem_diagonal.tolist())[:2]
-        if factor * (next_low - low) == np.inf:
+        if factor * (next_low - low) > np.finfo(float).max * (1.0 - 2.0 ** -20):
             raise ProblemFormatError(f"the spread E1 - E0 of the two lowest energies, {low:.6g} "
                                      f"and {next_low:.6g}, overflows the gap slope "
                                      f"{factor:g} (E1 - E0) at s = 1")

@@ -28,8 +28,9 @@ bundles no ``dsyevr``. Below dimension 1024 a scan assembles blocks of grid
 points as stacks, which up to ``SERIAL_BLAS_MAX_DIM`` a pool of one thread per
 usable core takes one at a time, bit for bit as one solve per point. From
 1024 up no matrix is built unless it must be: ``_krylov``, a block Lanczos on
-the matrix-free product of ``operators``, finds the kept levels on one thread
-and solves its small Ritz problems through ``_solve``. Only where it finds a
+the matrix-free product of ``operators``, finds E0's and E1's vectors and every
+kept level to _KRYLOV_TOL on one thread, and solves its small Ritz problems
+through ``_solve``. Only where it finds a
 degenerate pair, or does not converge, is the dense H(s) solved by ``_solve``.
 At every dimension the element and the slope come from the same matrix-free
 dH/ds applied to E0's and E1's vectors; dH/ds is never a matrix.
@@ -80,7 +81,8 @@ _KRYLOV_MIN_DIM = 1024
 #: one OpenBLAS thread.
 _KRYLOV_BASIS = SERIAL_BLAS_MAX_DIM
 
-#: Residual norm, relative to max(1, max |level|), below which a Ritz pair has converged.
+#: Relative to max(1, max |level|): the residual norm below which E0's and E1's
+#: Ritz pairs have converged, and the error within which every kept level is.
 _KRYLOV_TOL = 16 * _EPS
 
 #: Norm of a new residual row, relative to max(1, max |Q_j^T H Q_j|) of the
@@ -201,14 +203,19 @@ def _krylov(sched: ScheduleSpec, s: float, keep: int):
 
     Block Lanczos (Golub & Underwood, 1977) with blocks of 2 rows, from the
     fixed ``_start_block``: H(s) is applied without a matrix
-    (``operators._schedule_product``), and each new block is orthogonalized
-    twice against the whole basis (Parlett, The Symmetric Eigenvalue Problem,
-    1998). The Ritz problem, the block-tridiagonal T = Q^T H Q, goes through
-    ``_solve`` for keep + 1 levels: first at 8 (keep + 1) basis vectors, then
-    where the residual decay seen so far predicts convergence. The pairs have
-    converged when every residual norm is below _KRYLOV_TOL x max(1, max
-    |level|). Everything runs on one OpenBLAS thread, so the result does not
-    depend on the core count.
+    (``operators._schedule_product``). Each new block loses its projections on
+    the last two blocks, then is orthogonalized once against the whole basis,
+    and once more only where that pass cut a row's norm below 1 / sqrt(2) of
+    its value before it (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
+    772, 1976). The Ritz problem, the block-tridiagonal T = Q^T H Q, goes
+    through ``_solve`` for keep + 1 levels: first at 8 (keep + 1) basis
+    vectors, then where the residual decay seen so far predicts convergence.
+    With tol = _KRYLOV_TOL x max(1, max |level|), the pairs have converged
+    when the residual norms of E0 and E1, whose vectors are read, are at most
+    tol, and each level i >= 2 is within tol of an eigenvalue: |r_i| <= tol,
+    or |r_i|^2 <= tol (level_i - level_i-1) (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, ch. 11). Everything runs on one OpenBLAS
+    thread, so the result does not depend on the core count.
 
     None, for a dense solve, where two of the keep + 1 converged levels are
     ``_degenerate`` (a block of 2 shows every level of multiplicity 2 or more
@@ -226,8 +233,13 @@ def _krylov(sched: ScheduleSpec, s: float, keep: int):
     with _blas.threads(_KRYLOV_BASIS):
         while True:
             w = _schedule_product(sched, s, basis[m - 2:m])
-            diagonal = basis[m - 2:m] @ w.T
-            for _ in range(2):
+            recent = basis[max(m - 4, 0):m]
+            projection = recent @ w.T
+            diagonal = projection[-2:]
+            w -= projection.T @ recent
+            before = np.einsum("ij,ij->i", w, w)
+            w -= (basis[:m] @ w.T).T @ basis[:m]
+            if (np.einsum("ij,ij->i", w, w) < before / 2).any():
                 w -= (basis[:m] @ w.T).T @ basis[:m]
             t[m - 2:m, m - 2:m] = (diagonal + diagonal.T) / 2
             r = _orthonormal(w, _RANK_TOL * max(1.0, np.abs(diagonal).max()))
@@ -236,14 +248,15 @@ def _krylov(sched: ScheduleSpec, s: float, keep: int):
             if m >= check or m == _KRYLOV_BASIS:
                 levels, y = _solve(t[:m, :m], s, keep=keep + 1)
                 tol = _KRYLOV_TOL * max(1.0, np.abs(levels).max())
-                worst = float(np.sqrt(((r @ y[m - 2:]) ** 2).sum(axis=0)).max())
-                if worst <= tol:
+                squared = ((r @ y[m - 2:]) ** 2).sum(axis=0)
+                bound = tol * np.maximum(tol, np.r_[0.0, 0.0, np.diff(levels)[1:]])
+                if (squared <= bound).all():
                     if _degenerate(np.diff(levels), levels).any():
                         return None
                     return levels[:keep], basis[:m].T @ y[:, :keep]
                 # The log residual falls about linearly in m: check again where
                 # the last two checks put the tolerance, at most m / 2 later.
-                excess, step = math.log(worst / tol), m // 2
+                excess, step = math.log(float((squared / bound).max())), m // 2
                 if last is not None and last[1] > excess:
                     step = min(step, max(8, math.ceil(excess * (m - last[0]) / (last[1] - excess))))
                 last, check = (m, excess), m + step

@@ -536,6 +536,10 @@ class TestFuzz:
     # The non-stoquastic chain's hyperbola misfit.
     @example(problem=mis_chain(MisChainSpec(0.04)), driver="nonstoq", grid=101, k=None,
              form="ising")
+    # E1 - E0 = 1.7977e308 is finite; the gap slope at s = 0.5 is not.
+    @example(problem={"form": "qubo", "n": 2, "quadratic": [[0, 1, -1.7976931348623157e308]],
+                      "linear": [0, 0], "offset": 1e308}, driver="stoq", grid=5, k=None,
+             form="ising")
     def test_random_files_exit_cleanly(self, problem, driver, grid, k, form):
         # Any warning is an error here, as under python -W error.
         n = problem["n"] if isinstance(problem, dict) else problem.n

@@ -14,6 +14,7 @@ from annealgap import (
     MisChainSpec,
     NONSTOQUASTIC,
     ProblemFormatError,
+    QuboProblem,
     STOQUASTIC,
     ScheduleSpec,
     SpinAssignment,
@@ -391,6 +392,13 @@ class TestScheduleSpec:
             ScheduleSpec(problem=problem, driver=NONSTOQUASTIC)
         trace = gap_trace(ScheduleSpec(problem=problem), 11)
         assert trace.gap[-1] == 2 * 8.26e307
+
+    def test_spread_within_rounding_of_the_float_maximum_rejected(self):
+        # E1 - E0 = 1.7977e308 is finite, but the gap slope inside the schedule
+        # rounds past the float maximum, so it gets the |E| check's margin.
+        qubo = QuboProblem(n=2, Q={(0, 1): -np.finfo(float).max}, b=(0.0, 0.0), offset=1e308)
+        with pytest.raises(ProblemFormatError, match="spread E1 - E0 of the two lowest"):
+            ScheduleSpec(problem=qubo_to_ising(qubo))
 
     def test_wide_spread_above_the_two_lowest_accepted(self):
         # max E - min E = 3.2e308 overflows, but E1 - E0 = 1.6e308 and every

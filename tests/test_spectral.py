@@ -1447,8 +1447,8 @@ class TestKeptLevels:
 
 @pytest.fixture
 def large_solves(syevr, monkeypatch):
-    """The s of each H(s) ``_solve_points`` assembles, and how many 1024-wide dsyevr solves
-    run while the test runs."""
+    """The s of each H(s) ``_solve_points`` assembles, and how many dsyevr solves of
+    dimension 1024 and up run while the test runs."""
     seen = {"assembled": [], "dsyevr": 0}
 
     def assemble(sched, s, _original=schedule_matrix):
@@ -1456,7 +1456,7 @@ def large_solves(syevr, monkeypatch):
         return _original(sched, s)
 
     def dsyevr(*args):
-        seen["dsyevr"] += args[4] == 1024  # N, the order of the matrix
+        seen["dsyevr"] += args[4] >= 1024  # N, the order of the matrix
         return syevr(*args)
 
     dsyevr.restype = syevr.restype
@@ -1504,6 +1504,30 @@ class TestKrylov:
         # Both ends have closed forms; every other point converges.
         assert large_solves == {"assembled": [], "dsyevr": 0}
 
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_read_pairs_meet_the_residual_tolerance(self, driver, s):
+        # E0's and E1's vectors are read, so their own residuals, not only the
+        # Lanczos estimate, must be within _KRYLOV_TOL of the level scale.
+        sched = dense_n10(driver)
+        levels, v = spectral._krylov(sched, s, 6)
+        pair = np.ascontiguousarray(v[:, :2].T)
+        residual = _schedule_product(sched, s, pair) - levels[:2, None] * pair
+        scale = max(1.0, np.abs(levels).max())
+        assert np.sqrt((residual ** 2).sum(axis=1)).max() <= spectral._KRYLOV_TOL * scale
+
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_levels_match_eigh_on_random_problems(self, driver, seed):
+        # Levels 2 and up stop at |r|^2 / spacing <= tol, yet stay as close as E0 and E1.
+        sched = ScheduleSpec(problem=random_ising(np.random.default_rng(seed), 10), driver=driver)
+        grid = [0.25, 0.5, 0.75]
+        want = np.linalg.eigvalsh(schedule_matrix(sched, grid))[:, :6]
+        for s, levels in zip(grid, want):
+            found = spectral._krylov(sched, s, 6)
+            assert found is not None
+            assert np.abs(found[0] - levels).max() <= 1e-11
+
     @pytest.mark.parametrize("fields", [(0.5,) * 10, (0.3, 0.3, 0.41, 0.53, 0.62, 0.75, 0.87,
                                                       0.99, 1.13, 1.27)], ids=["all", "one-pair"])
     def test_degenerate_e1_falls_back_everywhere(self, large_solves, monkeypatch, fields):
@@ -1522,6 +1546,14 @@ class TestKrylov:
         trace = gap_trace(dense_n10(), 3)
         assert large_solves["dsyevr"] == 1  # s = 0.5; both ends have closed forms
         assert_same_trace(trace, dense_path_trace(monkeypatch, dense_n10(), 3, 6))
+
+    @pytest.mark.parametrize("driver", [STOQUASTIC, NONSTOQUASTIC])
+    def test_twelve_spins_solve_nothing_dense(self, large_solves, driver):
+        sched = ScheduleSpec(problem=random_ising(np.random.default_rng(12), 12), driver=driver)
+        trace = gap_trace(sched, self.GRID)
+        min_gap(trace, s_tol=1e-3)
+        epsilon(trace)
+        assert large_solves == {"assembled": [], "dsyevr": 0}
 
     def test_ritz_problems_solve_on_one_thread(self, blas_threads):
         startup, seen = blas_threads
